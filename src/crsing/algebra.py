@@ -22,12 +22,9 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import (
     ConstantTermInSubstitution,
     DimensionMismatch,
-    NonConstantLeading,
     UnknownVariable,
     WVariablePresent,
 )
-
-Rational = Fraction
 
 
 class GaussRational:
@@ -572,72 +569,3 @@ class Poly:
         if not self.terms:
             return "Poly(0, n=%d)" % self.n
         return "Poly(%s, n=%d)" % (self, self.n)
-
-
-def _var_degree(mono: Monomial, kind: str, idx: int) -> int:
-    if kind == "w":
-        return mono.w
-    if kind == "z":
-        return mono.z[idx - 1]
-    return mono.zb[idx - 1]
-
-
-def _strip_var(mono: Monomial, kind: str, idx: int) -> Monomial:
-    if kind == "w":
-        return Monomial(mono.z, mono.zb, 0)
-    if kind == "z":
-        zt = list(mono.z)
-        zt[idx - 1] = 0
-        return Monomial(tuple(zt), mono.zb, mono.w)
-    bt = list(mono.zb)
-    bt[idx - 1] = 0
-    return Monomial(mono.z, tuple(bt), mono.w)
-
-
-def weierstrass_divide(p: Poly, divisor: Poly, main_var: str):
-    """Divide p by divisor along one distinguished variable.
-
-    The divisor must have degree m >= 1 in main_var and its coefficient of
-    main_var^m must be a nonzero constant.  Returns (quotient, remainder)
-    with p == quotient * divisor + remainder and the remainder of degree
-    below m in main_var.  The pair is unique with that property.
-    """
-    p._check_dim(divisor)
-    kind, idx = parse_var(main_var)
-    if kind != "w" and idx > p.n:
-        raise DimensionMismatch(
-            "variable %s exceeds ambient dimension %d" % (main_var, p.n)
-        )
-    m = max((_var_degree(mo, kind, idx) for mo in divisor.terms), default=-1)
-    if m < 1:
-        raise ValueError("divisor must have positive degree in %s" % main_var)
-    lead_terms = {
-        _strip_var(mo, kind, idx): c
-        for mo, c in divisor.terms.items()
-        if _var_degree(mo, kind, idx) == m
-    }
-    unit = Monomial.unit(p.n)
-    if set(lead_terms) != {unit}:
-        raise NonConstantLeading(
-            "leading coefficient in %s must be a nonzero constant" % main_var
-        )
-    lc = lead_terms[unit]
-    main = Poly.variable(main_var, p.n) if kind != "w" else Poly.variable("w", p.n)
-
-    quotient = Poly(p.n)
-    remainder = p
-    while True:
-        d = max(
-            (_var_degree(mo, kind, idx) for mo in remainder.terms), default=-1
-        )
-        if d < m:
-            break
-        top = {
-            _strip_var(mo, kind, idx): c
-            for mo, c in remainder.terms.items()
-            if _var_degree(mo, kind, idx) == d
-        }
-        step = Poly(p.n, top) * (ONE / lc) * main ** (d - m)
-        quotient = quotient + step
-        remainder = remainder - step * divisor
-    return quotient, remainder

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .algebra import GaussRational, I, Monomial, ONE, Poly, ZERO, rational_sqrt
+from .algebra import GaussRational, I, ONE, Poly, ZERO, rational_sqrt
 from .errors import (
     FirstIntegralError,
     RankNotOne,
@@ -39,7 +39,7 @@ from .errors import (
     RequiresNGe2,
 )
 from .formal import FormalExtension, formal_extend
-from .manifold import Manifold, Quadric, cr_fields, rank_condition, transform
+from .manifold import Manifold, Quadric, is_cr_through, rank_condition, transform
 
 
 class LabelKind(Enum):
@@ -80,12 +80,13 @@ def normalize_rank1(q: Quadric) -> Tuple[List[List[GaussRational]], Quadric]:
         raise RankNotOne("normalization applies to stacked rank one only")
     n = q.n
     kernel = linalg.nullspace(q.stacked())
-    assert len(kernel) == n - 1
+    if len(kernel) != n - 1:
+        raise RuntimeError("rank one but kernel dimension %d" % len(kernel))
     for lead in range(n):
         e = [ONE if i == lead else ZERO for i in range(n)]
         cols = [e] + kernel
         T = [[cols[j][i] for j in range(n)] for i in range(n)]
-        if linalg.det(T):
+        if linalg.rank(T) == n:
             return T, transform(q, T)
     raise RuntimeError("kernel basis could not be completed to a basis")
 
@@ -282,9 +283,7 @@ def check_first_integral(m: Manifold, g: Poly, N: int = 8) -> FirstIntegralRepor
     if rank_condition(m.quadric) < 2:
         raise RankTooLow("first integral checks assume stacked rank at least two")
     real_valued = g.is_w_free and g.conjugate() == g
-    cr_to_order = all(
-        fld.apply(g).truncate(N).is_zero for fld in cr_fields(m)
-    )
+    cr_to_order = is_cr_through(m, g, N)
     if not _q_is_real(m.quadric):
         return FirstIntegralReport(
             real_valued=real_valued,

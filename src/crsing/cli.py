@@ -41,7 +41,6 @@ from .errors import (
 )
 from .extend import (
     cr_equation_matrix,
-    cr_homogeneous_basis,
     counterexample_linear,
     dump_matrix_csv,
     extend_polynomial,
@@ -144,19 +143,20 @@ def cmd_classify(args) -> int:
 def cmd_cr_basis(args) -> int:
     m = _load_manifold(args)
     d = args.degree
-    basis = cr_homogeneous_basis(m.quadric, d)
-    lines = ["degree %d CR space has dimension %d" % (d, len(basis.basis))]
-    lines.extend("  %s" % format_poly(b) for b in basis.basis)
+    mat = cr_equation_matrix(m.quadric, d)
+    basis = mat.kernel_polys()
+    lines = ["degree %d CR space has dimension %d" % (d, len(basis))]
+    lines.extend("  %s" % format_poly(b) for b in basis)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8", newline="") as fh:
-            dump_matrix_csv(m.quadric, d, fh)
+            dump_matrix_csv(mat, fh)
         lines.append("matrix written to %s" % args.dump_matrix)
-    mat = cr_equation_matrix(m.quadric, d)
     result = {
         "degree": d,
-        "dimension": len(basis.basis),
-        "basis": [format_poly(b) for b in basis.basis],
-        "matrix_rank": mat.rank(),
+        "dimension": len(basis),
+        "basis": [format_poly(b) for b in basis],
+        # rank-nullity: the kernel above already fixes the rank
+        "matrix_rank": len(mat.columns) - len(basis),
         "matrix_shape": [len(mat.rows), len(mat.columns)],
     }
     _emit(args, "cr-basis", True, result, None, lines)

@@ -25,10 +25,6 @@ class ConstantTermInSubstitution(CrsingError):
     """The polynomial substituted for w has a nonzero constant term."""
 
 
-class NonConstantLeading(CrsingError):
-    """Division divisor whose leading coefficient is not a nonzero constant."""
-
-
 class PolyParseError(CrsingError):
     """Syntax error while reading a polynomial expression."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import GaussRational, Monomial, ONE, Poly, ZERO
@@ -82,6 +82,13 @@ class CRMatrix:
 
     def kernel(self) -> List[List[GaussRational]]:
         return linalg.nullspace_sparse(self.rows, len(self.columns))
+
+    def kernel_polys(self) -> List[Poly]:
+        """The kernel as polynomials: a basis of the degree-d CR space."""
+        return [
+            Poly(self.n, {m: c for m, c in zip(self.columns, vec) if c})
+            for vec in self.kernel()
+        ]
 
 
 def cr_equation_matrix(q: Quadric, d: int) -> CRMatrix:
@@ -159,12 +166,7 @@ class CRSpace:
 
 
 def cr_homogeneous_basis(q: Quadric, d: int) -> CRSpace:
-    mat = cr_equation_matrix(q, d)
-    basis = []
-    for vec in mat.kernel():
-        terms = {m: c for m, c in zip(mat.columns, vec) if c}
-        basis.append(Poly(q.n, terms))
-    return CRSpace(degree=d, basis=basis)
+    return CRSpace(degree=d, basis=cr_equation_matrix(q, d).kernel_polys())
 
 
 def weighted_monomial_index(n: int, d: int) -> List[Tuple[Tuple[int, ...], int]]:
@@ -175,6 +177,28 @@ def weighted_monomial_index(n: int, d: int) -> List[Tuple[Tuple[int, ...], int]]
         for alpha in _compositions(d - 2 * j, n):
             out.append((alpha, j))
     return out
+
+
+def matching_matrix(q: Quadric, d: int):
+    """The matching system of the degree-d ansatz sum c_{alpha,j} z^alpha Q^j.
+
+    Returns (monos, rows, unknowns): monos is homogeneous_monomials(n, d),
+    rows[i] is the sparse row of the coefficient of monos[i], and column c
+    holds z^alpha Q^j for (alpha, j) = unknowns[c]."""
+    n = q.n
+    monos = homogeneous_monomials(n, d)
+    row_of = {m: i for i, m in enumerate(monos)}
+    unknowns = weighted_monomial_index(n, d)
+    qp = q.q_poly()
+    qpowers = [Poly.constant(1, n)]
+    for _ in range(d // 2):
+        qpowers.append(qpowers[-1] * qp)
+    rows: List[Dict[int, GaussRational]] = [dict() for _ in monos]
+    for ci, (alpha, j) in enumerate(unknowns):
+        base = Poly.from_monomial(Monomial(alpha, (0,) * n, 0), ONE, n)
+        for m, c in (base * qpowers[j]).terms.items():
+            rows[row_of[m]][ci] = c
+    return monos, rows, unknowns
 
 
 @dataclass
@@ -208,26 +232,8 @@ def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionR
         if not chk.holds:
             raise NotCR("f fails the CR equations at degree %d" % d, degree=d)
     n = q.n
-    monos = homogeneous_monomials(n, d)
-    row_of = {m: i for i, m in enumerate(monos)}
-    unknowns = weighted_monomial_index(n, d)
-    qp = q.q_poly()
-    qpowers = [Poly.constant(1, n)]
-    for _ in range(d // 2):
-        qpowers.append(qpowers[-1] * qp)
-    columns: List[Dict[int, GaussRational]] = []
-    for alpha, j in unknowns:
-        base = Poly.from_monomial(Monomial(alpha, (0,) * n, 0), ONE, n)
-        image = base * qpowers[j]
-        columns.append({row_of[m]: c for m, c in image.terms.items()})
-    # assemble rows from columns
-    rows: List[Dict[int, GaussRational]] = [dict() for _ in monos]
-    for ci, col in enumerate(columns):
-        for ri, c in col.items():
-            rows[ri][ci] = c
-    rhs = [ZERO] * len(monos)
-    for m, c in f.terms.items():
-        rhs[row_of[m]] = c
+    monos, rows, unknowns = matching_matrix(q, d)
+    rhs = [f.terms.get(m, ZERO) for m in monos]
     sols, unique = linalg.solve_many_sparse(rows, len(unknowns), [rhs])
     if sols[0] is None:
         raise NoExtension(
@@ -238,7 +244,7 @@ def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionR
         if c:
             fterms[Monomial(alpha, (0,) * n, j)] = c
     F = Poly(n, fterms)
-    residual = f - F.substitute_w(qp)
+    residual = f - F.substitute_w(q.q_poly())
     return ExtensionResult(F=F, residual=residual, unique=unique)
 
 
@@ -303,21 +309,19 @@ def counterexample_linear(q: Quadric) -> Optional[List[GaussRational]]:
     return v
 
 
-def dump_matrix_csv(q: Quadric, d: int, fileobj) -> None:
-    """Write the degree-d CR matrix as CSV.
+def dump_matrix_csv(mat: CRMatrix, fileobj) -> None:
+    """Write a CR matrix as CSV.
 
     The first row holds the column labels (input monomials).  Every other
     row starts with "L(k,l):<output monomial>" followed by the exact
     coefficient strings."""
     from .polyio import format_poly
 
-    mat = cr_equation_matrix(q, d)
+    def label(mono):
+        return format_poly(Poly.from_monomial(mono, ONE, mat.n))
+
     writer = csv.writer(fileobj, lineterminator="\n")
-    header = ["row"] + [
-        format_poly(Poly.from_monomial(m, ONE, q.n)) for m in mat.columns
-    ]
-    writer.writerow(header)
+    writer.writerow(["row"] + [label(m) for m in mat.columns])
     for (k, l, mono), row in zip(mat.row_labels, mat.rows):
-        label = "L(%d,%d):%s" % (k, l, format_poly(Poly.from_monomial(mono, ONE, q.n)))
         cells = [str(row.get(j, ZERO)) for j in range(len(mat.columns))]
-        writer.writerow([label] + cells)
+        writer.writerow(["L(%d,%d):%s" % (k, l, label(mono))] + cells)

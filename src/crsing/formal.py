@@ -25,7 +25,7 @@ from .errors import (
     WVariablePresent,
 )
 from .extend import extend_homogeneous
-from .manifold import Manifold, is_cr, quadric_model, rank_condition
+from .manifold import Manifold, is_cr, is_cr_through, quadric_model, rank_condition
 
 
 @dataclass
@@ -50,11 +50,12 @@ def formal_extend(
     """Extend f through total degree N on the manifold w = Q + E.
 
     Quadrics without antiholomorphic part are rejected outright, and so
-    are inputs that fail the CR equations on the manifold itself, tagged
-    with the smallest degree whose jet already fails.  With require_rank
-    set, stacked rank below two is rejected as well; without it the
-    construction is attempted and fails with NoExtension at the first
-    homogeneous part that does not match, which for restrictions of
+    are inputs that fail the CR equations on the manifold through degree
+    N, tagged with the smallest degree whose jet already fails; terms of
+    L f above degree N lie beyond the truncation and do not count.  With
+    require_rank set, stacked rank below two is rejected as well; without
+    it the construction is attempted and fails with NoExtension at the
+    first homogeneous part that does not match, which for restrictions of
     holomorphic polynomials never happens.
     """
     if m.n < 2:
@@ -67,10 +68,11 @@ def formal_extend(
         raise ValueError("truncation order must be nonnegative")
     if not f.is_w_free:
         raise WVariablePresent("f must be a function of z and zbar only")
-    if not is_cr(m, f).holds:
-        # report the smallest k whose k-jet already fails on the manifold
-        for k in range(f.order(), f.total_degree() + 1):
-            if not is_cr(m, f.truncate(k)).holds:
+    if not is_cr_through(m, f, N):
+        # report the smallest k whose k-jet already fails on the manifold;
+        # CR fields never lower degree, so some k <= N does
+        for k in range(f.order(), N + 1):
+            if not is_cr_through(m, f.truncate(k), N):
                 raise NotCR(
                     "f fails the CR equations on the manifold at degree %d" % k,
                     degree=k,
@@ -85,7 +87,8 @@ def formal_extend(
         k = remainder.order()
         if k > N:
             break
-        assert k > last_k, "remainder order failed to increase"
+        if k <= last_k:
+            raise RuntimeError("remainder order failed to increase past %d" % last_k)
         last_k = k
         part = remainder.homogeneous_part(k)
         if k == 0:
@@ -111,10 +114,3 @@ def formal_extend(
         F=F, order=N, residual=residual, residual_order=ro, unique=unique
     )
 
-
-def check_formal_uniqueness(m: Manifold, f: Poly, N: int = 8) -> bool:
-    """True when every homogeneous step of the construction is forced.
-
-    Enforces stacked rank at least two, which is the regime where the
-    step-by-step solutions are guaranteed unique."""
-    return formal_extend(m, f, N, require_rank=True).unique

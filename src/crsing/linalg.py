@@ -8,9 +8,9 @@ always the first usable candidate, which makes every result deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .algebra import GaussRational, ONE, ZERO, as_gauss
+from .algebra import GaussRational, ONE, ZERO
 
 
 def to_sparse(dense) -> List[Dict[int, GaussRational]]:
@@ -137,51 +137,6 @@ def nullspace(dense) -> List[List[GaussRational]]:
     return nullspace_sparse(to_sparse(dense), len(dense[0]))
 
 
-def solve(dense, b) -> Optional[Tuple[List[GaussRational], bool]]:
-    """One solution of A x = b with free variables zero, or None if the
-    system is inconsistent.  The flag reports whether it is the only one."""
-    if not dense:
-        return ([], True) if not any(b) else None
-    sols, unique = solve_many_sparse(to_sparse(dense), len(dense[0]), [list(b)])
-    if sols[0] is None:
-        return None
-    return sols[0], unique
-
-
-def det(dense) -> GaussRational:
-    n = len(dense)
-    if any(len(row) != n for row in dense):
-        raise ValueError("determinant needs a square matrix")
-    a = [[as_gauss(x) for x in row] for row in dense]
-    result = ONE
-    for c in range(n):
-        pivot_at = None
-        for i in range(c, n):
-            if a[i][c]:
-                pivot_at = i
-                break
-        if pivot_at is None:
-            return ZERO
-        if pivot_at != c:
-            a[c], a[pivot_at] = a[pivot_at], a[c]
-            result = -result
-        pv = a[c][c]
-        result = result * pv
-        for i in range(c + 1, n):
-            f = a[i][c]
-            if not f:
-                continue
-            f = f / pv
-            row, crow = a[i], a[c]
-            for j in range(c, n):
-                row[j] = row[j] - f * crow[j]
-    return result
-
-
-def identity(n: int):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def zeros(n: int, m: Optional[int] = None):
     m = n if m is None else m
     return [[ZERO] * m for _ in range(n)]
@@ -205,10 +160,6 @@ def mat_mul(a, b):
             orow.append(s)
         out.append(orow)
     return out
-
-
-def mat_vec(a, v):
-    return [col[0] for col in mat_mul(a, [[x] for x in v])]
 
 
 def transpose(a):

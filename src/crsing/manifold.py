@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from . import linalg
-from .algebra import GaussRational, Monomial, ONE, Poly, ZERO, as_gauss
+from .algebra import GaussRational, Monomial, Poly, ZERO, as_gauss
 from .errors import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -255,6 +255,14 @@ def is_cr(m: Manifold, f: Poly) -> CRCheck:
     return CRCheck(holds=not failures, vacuous=vacuous, failures=tuple(failures))
 
 
+def is_cr_through(m: Manifold, f: Poly, N: int) -> bool:
+    """Whether every CR field applied to f vanishes through total degree N:
+    the CR equations up to order N, the contract of formal extension."""
+    if f.n != m.n:
+        raise DimensionMismatch("f lives in dimension %d, manifold in %d" % (f.n, m.n))
+    return all(fld.apply(f).truncate(N).is_zero for fld in cr_fields(m))
+
+
 def cr_linear_space(q: Quadric) -> List[List[GaussRational]]:
     """Basis of the vectors v for which v . zbar is CR on the quadric.
 
@@ -320,7 +328,7 @@ def transform(obj: Union[Quadric, Manifold], T) -> Union[Quadric, Manifold]:
     Tm = [[as_gauss(x) for x in row] for row in T]
     if len(Tm) != n or any(len(row) != n for row in Tm):
         raise DimensionMismatch("T must be %d-by-%d" % (n, n))
-    if not linalg.det(Tm):
+    if linalg.rank(Tm) < n:
         raise SingularTransform("T is singular")
     Tt = linalg.transpose(Tm)
     Tstar = linalg.conj_transpose(Tm)

@@ -341,11 +341,6 @@ def load_manifold(text: str) -> Manifold:
         raise ManifoldSpecError(str(e))
 
 
-def load_manifold_path(path: str) -> Manifold:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_manifold(fh.read())
-
-
 def manifold_to_dict(m: Manifold) -> dict:
     doc = {
         "n": m.n,

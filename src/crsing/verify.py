@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import linalg
 from .algebra import GaussRational, I, Monomial, ONE, Poly, ZERO
@@ -28,13 +28,13 @@ from .classify import (
 from .errors import DegenerateQuadric, NoExtension, NotCR
 from .extend import (
     cr_equation_matrix,
-    cr_homogeneous_basis,
     counterexample_linear,
     extend_homogeneous,
     extend_polynomial,
     block_rank_sum,
     homogeneous_monomials,
     kernel_dimension_formula,
+    matching_matrix,
     rank_formula,
     weighted_monomial_index,
 )
@@ -117,7 +117,7 @@ def random_quadric(rng, n: int, zero_bias: float = 0.0) -> Quadric:
 def random_invertible(rng, n: int):
     while True:
         T = [[_small_gauss(rng) for _ in range(n)] for _ in range(n)]
-        if linalg.det(T):
+        if linalg.rank(T) == n:
             return T
 
 
@@ -168,27 +168,15 @@ def _triangular_family_quadric(rng) -> Quadric:
 def _extend_kernel_batch(q: Quadric, d: int):
     """Extend every degree-d kernel element in one elimination.
 
-    Returns (num_elements, all_extended)."""
-    mat = cr_equation_matrix(q, d)
-    kernel = mat.kernel()
+    Returns one matching solution per kernel vector of the degree-d CR
+    matrix, None where that element does not extend.  The kernel vectors
+    and the matching rows share the order homogeneous_monomials(n, d)."""
+    kernel = cr_equation_matrix(q, d).kernel()
     if not kernel:
-        return 0, True
-    n = q.n
-    monos = mat.columns
-    row_of = {m: i for i, m in enumerate(monos)}
-    unknowns = weighted_monomial_index(n, d)
-    qp = q.q_poly()
-    qpowers = [Poly.constant(1, n)]
-    for _ in range(d // 2):
-        qpowers.append(qpowers[-1] * qp)
-    rows = [dict() for _ in monos]
-    for ci, (alpha, j) in enumerate(unknowns):
-        base = Poly.from_monomial(Monomial(alpha, (0,) * n, 0), ONE, n)
-        image = base * qpowers[j]
-        for m, c in image.terms.items():
-            rows[row_of[m]][ci] = c
+        return []
+    _, rows, unknowns = matching_matrix(q, d)
     sols, _ = linalg.solve_many_sparse(rows, len(unknowns), kernel)
-    return len(kernel), all(s is not None for s in sols)
+    return sols
 
 
 def _extension_sweep(q: Quadric, dmax: int):
@@ -197,8 +185,7 @@ def _extension_sweep(q: Quadric, dmax: int):
     r = rank_condition(q)
     all_extend = True
     for d in range(1, dmax + 1):
-        _, ok = _extend_kernel_batch(q, d)
-        if not ok:
+        if any(s is None for s in _extend_kernel_batch(q, d)):
             all_extend = False
             break
     lin_trivial = not cr_linear_space(q)
@@ -206,25 +193,8 @@ def _extension_sweep(q: Quadric, dmax: int):
 
 
 def _matching_matrix_full_rank(q: Quadric, d: int) -> bool:
-    n = q.n
-    monos = homogeneous_monomials(n, d)
-    row_of = {m: i for i, m in enumerate(monos)}
-    unknowns = weighted_monomial_index(n, d)
-    qp = q.q_poly()
-    qpowers = [Poly.constant(1, n)]
-    for _ in range(d // 2):
-        qpowers.append(qpowers[-1] * qp)
-    rows = [dict() for _ in monos]
-    for ci, (alpha, j) in enumerate(unknowns):
-        base = Poly.from_monomial(Monomial(alpha, (0,) * n, 0), ONE, n)
-        image = base * qpowers[j]
-        for m, c in image.terms.items():
-            rows[row_of[m]][ci] = c
+    _, rows, unknowns = matching_matrix(q, d)
     return linalg.rank_sparse(rows, len(unknowns)) == len(unknowns)
-
-
-def _binom(a: int, b: int) -> int:
-    return math.comb(a, b)
 
 
 # -- suites -----------------------------------------------------------
@@ -240,7 +210,7 @@ def suite_rank_formula(samples: int = 20, dmax: int = 8, seed: int = 11259) -> S
     for d in range(1, dmax + 1):
         expected_rank = rank_formula(d)
         expected_dim = kernel_dimension_formula(d)
-        expected_cols = _binom(d + 3, 3)
+        expected_cols = math.comb(d + 3, 3)
         ok = True
         seen = None
         for q in quadrics:

@@ -14,12 +14,10 @@ from crsing import (
     as_gauss,
     gauss_sqrt,
     rational_sqrt,
-    weierstrass_divide,
 )
 from crsing.errors import (
     ConstantTermInSubstitution,
     DimensionMismatch,
-    NonConstantLeading,
     UnknownVariable,
     WVariablePresent,
 )
@@ -232,30 +230,3 @@ class TestPoly:
     def test_is_w_free(self):
         assert Poly.variable("z1", 2).is_w_free
         assert not Poly.variable("w", 2).is_w_free
-
-
-class TestWeierstrassDivision:
-    def test_linear_divisor(self):
-        z1 = Poly.variable("z1", 2)
-        z2 = Poly.variable("z2", 2)
-        p = z1**2 * z2 + z1**3
-        quot, rem = weierstrass_divide(p, z2 - z1, "z2")
-        assert quot == z1**2
-        assert rem == 2 * z1**3
-        assert quot * (z2 - z1) + rem == p
-
-    def test_higher_degree_divisor(self):
-        z1 = Poly.variable("z1", 2)
-        z2 = Poly.variable("z2", 2)
-        divisor = z2**2 + z1
-        p = z2**5 + z1 * z2 + 1
-        quot, rem = weierstrass_divide(p, divisor, "z2")
-        assert quot * divisor + rem == p
-        # the remainder has z2-degree below the divisor's
-        assert all(mono.z[1] < 2 for mono in rem.terms)
-
-    def test_requires_constant_leading_coefficient(self):
-        z1 = Poly.variable("z1", 2)
-        z2 = Poly.variable("z2", 2)
-        with pytest.raises(NonConstantLeading):
-            weierstrass_divide(z2**2, z1 * z2, "z2")

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from crsing import cr_equation_matrix, load_manifold
 from crsing.cli import main
 
 RANK1 = '{"n": 2, "A": [["0", "1"], ["0", "0"]]}'
@@ -151,6 +152,24 @@ class TestExitCodes:
         )
         assert code == 0
         assert "flattening function F = w" in out
+
+    def test_flatten_check_accepts_cr_through_order(self, capsys, manifold_file):
+        # L g = 5 z1^5 z2 zb1^4 vanishes through order 8, so g is a first
+        # integral to that order and flattens with F = w
+        path = manifold_file(FLAT)
+        g = "z1*zb1 + z2*zb2 + z1^5*zb1^5"
+        argv = ["flatten-check", "--manifold", path, "--g", g, "--order", "8"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "CR to order 8: yes" in out
+        assert "flattening function F = w" in out
+        assert "residual order: 10" in out
+        code, payload = run_json(
+            capsys, ["formal-extend", "--manifold", path, "--f", g, "--order", "8"]
+        )
+        assert code == 0
+        assert payload["result"]["F"] == "w"
+        assert payload["result"]["residual_order"] == 10
 
     def test_flatten_check_rejects_non_integral(self, capsys, manifold_file):
         code, out, _ = run(
@@ -313,8 +332,30 @@ class TestCrBasis:
         )
         assert code == 0
         assert "matrix written to" in out
-        text = out_path.read_text(encoding="utf-8")
-        assert text.splitlines()[0] == "row,zb2,zb1,z2,z1"
+        # Q = zb1 z2, so L(1,2) = -z2 d/dzb2 and only zb2 maps anywhere
+        assert out_path.read_text(encoding="utf-8") == (
+            "row,zb2,zb1,z2,z1\n"
+            '"L(1,2):zb2",0,0,0,0\n'
+            '"L(1,2):zb1",0,0,0,0\n'
+            '"L(1,2):z2",-1,0,0,0\n'
+            '"L(1,2):z1",0,0,0,0\n'
+        )
+
+    @pytest.mark.parametrize("spec", [RANK1, RANK2])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_matrix_rank_matches_independent_build(
+        self, capsys, manifold_file, spec, degree
+    ):
+        code, payload = run_json(
+            capsys,
+            ["cr-basis", "--manifold", manifold_file(spec), "--degree", str(degree)],
+        )
+        assert code == 0
+        mat = cr_equation_matrix(load_manifold(spec).quadric, degree)
+        res = payload["result"]
+        assert res["matrix_rank"] == mat.rank()
+        assert res["matrix_shape"] == [len(mat.rows), len(mat.columns)]
+        assert res["dimension"] == len(mat.columns) - mat.rank()
 
 
 class TestOde:

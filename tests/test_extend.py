@@ -1,6 +1,7 @@
 """Degree-by-degree CR matrices, kernels, and polynomial extension."""
 
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from crsing import (
     GaussRational,
     I,
+    Monomial,
     ONE,
     Poly,
     Quadric,
@@ -25,6 +27,7 @@ from crsing import (
     kernel_dimension_formula,
     parse_poly,
     quadric_model,
+    rank_condition,
     rank_formula,
 )
 from crsing.errors import (
@@ -34,6 +37,8 @@ from crsing.errors import (
     RankTooLow,
     RequiresNGe2,
 )
+from crsing.extend import weighted_monomial_index
+from crsing.verify import _extend_kernel_batch, _extension_sweep, random_quadric
 
 
 def g(re, im=0):
@@ -174,7 +179,7 @@ class TestMatrixDump:
         import csv
 
         buf = io.StringIO()
-        dump_matrix_csv(quadric_a12(), 1, buf)
+        dump_matrix_csv(cr_equation_matrix(quadric_a12(), 1), buf)
         buf.seek(0)
         rows = list(csv.reader(buf))
         assert rows[0] == ["row", "zb2", "zb1", "z2", "z1"]
@@ -183,3 +188,35 @@ class TestMatrixDump:
         body = {row[0]: row[1:] for row in rows[1:]}
         assert body["L(1,2):z2"] == ["-1", "0", "0", "0"]
         assert body["L(1,2):z1"] == ["0", "0", "0", "0"]
+
+
+class TestKernelBatch:
+    def test_batch_agrees_with_extend_homogeneous(self):
+        # the batched sweep and the one-at-a-time solve share the matching
+        # matrix; both must give the same solution for every kernel element
+        rng = random.Random(7)
+        ranks = set()
+        for _ in range(8):
+            n = rng.choice((2, 3))
+            q = random_quadric(rng, n, zero_bias=0.6)
+            ranks.add(min(rank_condition(q), 2))
+            all_extend = True
+            for d in (1, 2, 3):
+                polys = cr_equation_matrix(q, d).kernel_polys()
+                sols = _extend_kernel_batch(q, d)
+                assert len(sols) == len(polys)
+                for f, sol in zip(polys, sols):
+                    try:
+                        F = extend_homogeneous(q, f).F
+                    except NoExtension:
+                        assert sol is None
+                        all_extend = False
+                        continue
+                    expected = {
+                        Monomial(alpha, (0,) * n, j): c
+                        for (alpha, j), c in zip(weighted_monomial_index(n, d), sol)
+                        if c
+                    }
+                    assert F == Poly(n, expected)
+            assert _extension_sweep(q, 3)[1] == all_extend
+        assert {1, 2} <= ranks

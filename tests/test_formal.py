@@ -8,7 +8,6 @@ from crsing import (
     Poly,
     Quadric,
     ZERO,
-    check_formal_uniqueness,
     formal_extend,
     parse_poly,
 )
@@ -75,6 +74,17 @@ class TestFormalExtend:
             formal_extend(m, parse_poly("z1 + zb2^2", 2), 8)
         assert exc.value.degree == 2
 
+    def test_cr_through_order_suffices(self):
+        # L f is nonzero only in degree 10, beyond the truncation order 8
+        f = parse_poly("z1*zb1 + z2*zb2 + z1^5*zb1^5", 2)
+        res = formal_extend(diag_manifold(), f, 8)
+        assert res.F == parse_poly("w", 2)
+        assert res.residual_order == 10
+        assert res.certified
+        with pytest.raises(NotCR) as exc:
+            formal_extend(diag_manifold(), f, 10)
+        assert exc.value.degree == 10
+
     def test_cr_on_quadric_but_no_extension(self):
         # on the bare rank-one quadric zb1 is CR yet cannot be matched
         m = Manifold(Quadric(2, A=[[ZERO, ONE], [ZERO, ZERO]]))
@@ -108,8 +118,8 @@ class TestUniqueness:
     def test_rank_two_unique(self):
         m = diag_manifold()
         f = parse_poly("z1*zb1 + z2*zb2", 2)
-        assert check_formal_uniqueness(m, f, 8)
+        assert formal_extend(m, f, 8, require_rank=True).unique
 
     def test_rank_one_rejected(self):
         with pytest.raises(RankTooLow):
-            check_formal_uniqueness(cubic_manifold(), parse_poly("z1", 2), 8)
+            formal_extend(cubic_manifold(), parse_poly("z1", 2), 8, require_rank=True)

@@ -4,16 +4,12 @@ from fractions import Fraction
 
 from crsing import GaussRational, I, ONE, ZERO
 from crsing.linalg import (
-    det,
-    identity,
     mat_mul,
-    mat_vec,
     nullspace,
     nullspace_sparse,
     rank,
     rank_sparse,
     rref_sparse,
-    solve,
     solve_many_sparse,
     to_sparse,
     transpose,
@@ -26,21 +22,27 @@ def g(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
+def column(v):
+    return [[x] for x in v]
+
+
 def test_rank_and_det():
+    # a square matrix is invertible (nonzero determinant) iff of full rank
     M = [[g(1), g(2)], [g(2), g(4)]]
     assert rank(M) == 1
-    assert det(M) == ZERO
     N = [[g(1), I], [g(0), g(3)]]
     assert rank(N) == 2
-    assert det(N) == g(3)
+    assert rank([[g(0), I, g(1)], [g(2), g(0), g(1)], [g(2), I, g(2)]]) == 2
+    assert rank([[I, g(1)], [g(1), I]]) == 2
+    assert rank([[I, g(1)], [g(1), -I]]) == 1
 
 
 def test_identity_and_mul():
     M = [[g(1), g(2)], [g(3), g(4)]]
-    assert mat_mul(M, identity(2)) == M
-    assert mat_mul(identity(2), M) == M
-    v = [g(1), g(-1)]
-    assert mat_vec(M, v) == [g(-1), g(-1)]
+    eye = [[ONE, ZERO], [ZERO, ONE]]
+    assert mat_mul(M, eye) == M
+    assert mat_mul(eye, M) == M
+    assert mat_mul(M, column([g(1), g(-1)])) == column([g(-1), g(-1)])
 
 
 def test_transpose_and_conj_transpose():
@@ -54,20 +56,22 @@ def test_nullspace_orthogonality():
     basis = nullspace(M)
     assert len(basis) == 2
     for v in basis:
-        assert mat_vec(M, v) == [ZERO, ZERO]
+        assert mat_mul(M, column(v)) == column([ZERO, ZERO])
 
 
 def test_solve_consistent_and_inconsistent():
     M = [[g(1), g(1)], [g(0), g(1)]]
-    x, unique = solve(M, [g(3), g(1)])
+    (x,), unique = solve_many_sparse(to_sparse(M), 2, [[g(3), g(1)]])
     assert x == [g(2), g(1)]
     assert unique
-    # rank-deficient, incompatible right-hand side
     M2 = [[g(1), g(1)], [g(2), g(2)]]
-    assert solve(M2, [g(1), g(3)]) is None
+    sols, unique2 = solve_many_sparse(
+        to_sparse(M2), 2, [[g(1), g(3)], [g(1), g(2)]]
+    )
+    # rank-deficient, incompatible right-hand side
+    assert sols[0] is None
     # rank-deficient but consistent: a solution exists, not unique
-    x2, unique2 = solve(M2, [g(1), g(2)])
-    assert mat_vec(M2, x2) == [g(1), g(2)]
+    assert mat_mul(M2, column(sols[1])) == column([g(1), g(2)])
     assert not unique2
 
 
@@ -80,7 +84,7 @@ def test_sparse_matches_dense():
     ]
     assert rank_sparse(to_sparse(M), 3) == rank(M)
     for v in nullspace_sparse(to_sparse(M), 3):
-        assert mat_vec(M, v) == [ZERO] * 4
+        assert mat_mul(M, column(v)) == column([ZERO] * 4)
 
 
 def test_rref_sparse_pivots():

@@ -25,7 +25,6 @@ from crsing import (
     quadric_model,
     rank_condition,
     transform,
-    weierstrass_divide,
 )
 
 N = 2
@@ -149,15 +148,6 @@ class TestDecompositions:
     def test_weighted_truncate_bounds(self, f, bound):
         head = f.truncate(bound, weighted=True)
         assert all(m.weighted_degree() <= bound for m in head.terms)
-
-
-class TestWeierstrass:
-    @given(polys(max_w=3), polys(max_terms=3, max_each=1))
-    def test_reconstruction(self, p, tail):
-        divisor = Poly.variable("w", N) ** 2 + tail.truncate(2)
-        q, r = weierstrass_divide(p, divisor, "w")
-        assert q * divisor + r == p
-        assert all(m.w < 2 for m in r.terms)
 
 
 class TestSubstitution:
