@@ -3,9 +3,10 @@
 One subcommand per decision or construction, plus `verify` for the
 randomized suites.  Exit codes: 0 when the answer was computed, 1 when the
 mathematical answer is negative (no extension, not CR, no counterexample,
-not applicable), 2 for unusable input.  With --json the output is a single
-object {"command", "ok", "result", "certificate"} with sorted keys, so
-identical inputs give byte-identical output.
+not applicable), 2 for unusable input, 3 when an internal invariant failed
+(a RuntimeError, reported without a traceback).  With --json the output is
+a single object {"command", "ok", "result", "certificate"} with sorted
+keys, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 _INPUT_ERRORS = (
     ManifoldSpecError,
@@ -488,6 +490,9 @@ def main(argv=None) -> int:
     except CrsingError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_NEGATIVE
+    except RuntimeError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -189,16 +189,26 @@ def matching_matrix(q: Quadric, d: int):
     monos = homogeneous_monomials(n, d)
     row_of = {m: i for i, m in enumerate(monos)}
     unknowns = weighted_monomial_index(n, d)
-    qp = q.q_poly()
-    qpowers = [Poly.constant(1, n)]
-    for _ in range(d // 2):
-        qpowers.append(qpowers[-1] * qp)
+    qpowers = q.q_powers(d // 2)
     rows: List[Dict[int, GaussRational]] = [dict() for _ in monos]
     for ci, (alpha, j) in enumerate(unknowns):
         base = Poly.from_monomial(Monomial(alpha, (0,) * n, 0), ONE, n)
         for m, c in (base * qpowers[j]).terms.items():
             rows[row_of[m]][ci] = c
     return monos, rows, unknowns
+
+
+def matching_factorization(q: Quadric, d: int):
+    """(monos, unknowns, factorization) of the degree-d matching system.
+
+    The system is eliminated once per quadric and degree, on first use,
+    and kept on q; every later right-hand side replays that elimination."""
+    hit = q._matching.get(d)
+    if hit is None:
+        monos, rows, unknowns = matching_matrix(q, d)
+        hit = (monos, unknowns, linalg.Factorization(rows, len(unknowns)))
+        q._matching[d] = hit
+    return hit
 
 
 @dataclass
@@ -215,7 +225,9 @@ def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionR
 
     Solves the exact linear system matching f against the z^alpha Q^j ansatz
     of the same weighted degree.  Inconsistency raises NoExtension; that can
-    only happen when the stacked rank is at most one."""
+    only happen when the stacked rank is at most one.  A solution is
+    returned only after the exact residual f - F(z, Q) has been checked to
+    vanish; a nonzero one is an internal fault and raises RuntimeError."""
     if q.n < 2:
         raise RequiresNGe2("extension needs n >= 2")
     if not f.is_w_free:
@@ -232,20 +244,24 @@ def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionR
         if not chk.holds:
             raise NotCR("f fails the CR equations at degree %d" % d, degree=d)
     n = q.n
-    monos, rows, unknowns = matching_matrix(q, d)
-    rhs = [f.terms.get(m, ZERO) for m in monos]
-    sols, unique = linalg.solve_many_sparse(rows, len(unknowns), [rhs])
-    if sols[0] is None:
+    monos, unknowns, fact = matching_factorization(q, d)
+    sol = fact.solve([f.terms.get(m, ZERO) for m in monos])
+    if sol is None:
         raise NoExtension(
             "no holomorphic polynomial matches f at degree %d" % d, degree=d
         )
     fterms = {}
-    for (alpha, j), c in zip(unknowns, sols[0]):
+    for (alpha, j), c in zip(unknowns, sol):
         if c:
             fterms[Monomial(alpha, (0,) * n, j)] = c
     F = Poly(n, fterms)
     residual = f - F.substitute_w(q.q_poly())
-    return ExtensionResult(F=F, residual=residual, unique=unique)
+    if not residual.is_zero:
+        raise RuntimeError(
+            "matching solution at degree %d leaves a nonzero residual f - F(z, Q)"
+            % d
+        )
+    return ExtensionResult(F=F, residual=residual, unique=fact.unique)
 
 
 def extend_polynomial(

@@ -4,6 +4,12 @@ Matrices are lists of rows; rows are lists of GaussRational entries.  The
 elimination routines work on sparse rows (dicts keyed by column index) so
 that the large, mostly empty constraint matrices stay cheap.  Pivots are
 always the first usable candidate, which makes every result deterministic.
+
+rref_sparse is the one elimination kernel.  It can log its row operations,
+and a Factorization keeps that log: solving for a right-hand side replays
+the logged swaps, pivot scalings and row updates on it, which is the same
+arithmetic that eliminating the augmented matrix would do on its last
+column, so one elimination answers any number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -17,12 +23,18 @@ def to_sparse(dense) -> List[Dict[int, GaussRational]]:
     return [{j: a for j, a in enumerate(row) if a} for row in dense]
 
 
-def rref_sparse(rows, ncols: int):
-    """Reduced row echelon form in place on a list of sparse rows.
+def rref_sparse(rows, ncols: int, log: Optional[list] = None):
+    """Reduced row echelon form of a list of sparse rows (the input rows
+    are copied, not modified).
 
     Returns (rows, pivot_cols).  After the call, rows[i] for i below the
     rank has leading one in pivot_cols[i]; later rows vanish on the first
     ncols columns (entries beyond ncols, if any, are left as reduced).
+
+    With a log list, one entry (r, pivot_at, inv, updates) is appended per
+    pivot: rows r and pivot_at were swapped, row r was scaled by inv (None
+    when the pivot was already one), and each (i, f) in updates subtracted
+    f times row r from row i.
     """
     rows = [dict(r) for r in rows]
     pivots: List[int] = []
@@ -38,16 +50,15 @@ def rref_sparse(rows, ncols: int):
         rows[r], rows[pivot_at] = rows[pivot_at], rows[r]
         prow = rows[r]
         pv = prow[c]
+        inv = None
         if pv != ONE:
             inv = ONE / pv
             for j in list(prow):
                 prow[j] = prow[j] * inv
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if not f:
-                continue
+        updates = [
+            (i, f) for i, row in enumerate(rows) if i != r and (f := row.get(c))
+        ]
+        for i, f in updates:
             tgt = rows[i]
             for j, a in prow.items():
                 acc = tgt.get(j)
@@ -56,6 +67,8 @@ def rref_sparse(rows, ncols: int):
                     tgt[j] = s
                 elif acc is not None:
                     del tgt[j]
+        if log is not None:
+            log.append((r, pivot_at, inv, updates))
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -85,41 +98,47 @@ def nullspace_sparse(rows, ncols: int) -> List[List[GaussRational]]:
     return basis
 
 
-def solve_many_sparse(rows, ncols: int, rhs_list):
-    """Solve A x = b for several right-hand sides with one elimination.
+class Factorization:
+    """One elimination of a sparse matrix, kept to solve A x = b for any
+    number of right-hand sides b.
 
-    rows are sparse rows of A with ncols columns; rhs_list is a list of
-    dense column vectors.  Returns (solutions, unique) where solutions[k]
-    is a dense solution vector with free variables set to zero, or None if
-    that system is inconsistent.  unique is True when A has full column
-    rank.
-    """
-    aug = []
-    for i, row in enumerate(rows):
-        r = dict(row)
-        for k, b in enumerate(rhs_list):
-            if i < len(b) and b[i]:
-                r[ncols + k] = b[i]
-        aug.append(r)
-    red, pivots = rref_sparse(aug, ncols)
-    nrhs = len(rhs_list)
-    bad = [False] * nrhs
-    for row in red[len(pivots):]:
-        for j in row:
-            if j >= ncols and row[j]:
-                bad[j - ncols] = True
-    solutions = []
-    for k in range(nrhs):
-        if bad[k]:
-            solutions.append(None)
-            continue
-        x = [ZERO] * ncols
-        for i, pc in enumerate(pivots):
-            a = red[i].get(ncols + k)
-            if a:
-                x[pc] = a
-        solutions.append(x)
-    return solutions, len(pivots) == ncols
+    pivots are the pivot columns of the reduced form, and unique is True
+    when A has full column rank."""
+
+    __slots__ = ("nrows", "ncols", "pivots", "_log")
+
+    def __init__(self, rows, ncols: int):
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._log = []
+        _, self.pivots = rref_sparse(rows, ncols, self._log)
+
+    @property
+    def unique(self) -> bool:
+        return len(self.pivots) == self.ncols
+
+    def solve(self, b) -> Optional[List[GaussRational]]:
+        """A dense solution of A x = b with free variables set to zero, or
+        None if the system is inconsistent.  b is a dense column; entries
+        past its end count as zero."""
+        x = list(b[: self.nrows]) + [ZERO] * (self.nrows - len(b))
+        for r, pivot_at, inv, updates in self._log:
+            x[r], x[pivot_at] = x[pivot_at], x[r]
+            br = x[r]
+            if not br:
+                continue
+            if inv is not None:
+                br = br * inv
+                x[r] = br
+            for i, f in updates:
+                x[i] = x[i] - f * br
+        rank = len(self.pivots)
+        if any(x[rank:]):
+            return None
+        sol = [ZERO] * self.ncols
+        for i, pc in enumerate(self.pivots):
+            sol[pc] = x[i]
+        return sol
 
 
 # -- dense conveniences ----------------------------------------------

@@ -49,9 +49,15 @@ def _is_symmetric(m) -> bool:
 
 
 class Quadric:
-    """The quadratic model w = Q(z, zbar) determined by matrices A, B, C."""
+    """The quadratic model w = Q(z, zbar) determined by matrices A, B, C.
 
-    __slots__ = ("n", "A", "B", "C", "_qpoly")
+    A, B and C must not be mutated once the quadric is in use: Q, its
+    powers and the factorized matching systems of extend.py (kept in
+    _matching, keyed by degree) are derived from them once and cached on
+    the instance.  Equal but distinct quadrics share none of these caches.
+    """
+
+    __slots__ = ("n", "A", "B", "C", "_qpoly", "_qpowers", "_matching")
 
     def __init__(self, n: int, A=None, B=None, C=None):
         if n < 1:
@@ -65,6 +71,8 @@ class Quadric:
         if not _is_symmetric(self.C):
             raise AsymmetricMatrix("C")
         self._qpoly = None
+        self._qpowers = None
+        self._matching = {}
 
     def q_poly(self) -> Poly:
         """Q as a polynomial in z and zbar."""
@@ -100,6 +108,15 @@ class Quadric:
                     put(Monomial(z, (0,) * n, 0), self.C[i][j])
         self._qpoly = Poly(n, terms)
         return self._qpoly
+
+    def q_powers(self, k: int) -> List[Poly]:
+        """[Q^0, Q^1, ..., Q^k]; each power is computed once per quadric."""
+        powers = self._qpowers
+        if powers is None:
+            powers = self._qpowers = [Poly.constant(1, self.n)]
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.q_poly())
+        return powers[: k + 1]
 
     def stacked(self):
         """The 2n-by-n matrix [A*; B] whose rank drives extendability."""

@@ -34,7 +34,7 @@ from .extend import (
     block_rank_sum,
     homogeneous_monomials,
     kernel_dimension_formula,
-    matching_matrix,
+    matching_factorization,
     rank_formula,
     weighted_monomial_index,
 )
@@ -166,7 +166,7 @@ def _triangular_family_quadric(rng) -> Quadric:
 
 
 def _extend_kernel_batch(q: Quadric, d: int):
-    """Extend every degree-d kernel element in one elimination.
+    """Extend every degree-d kernel element through one factorization.
 
     Returns one matching solution per kernel vector of the degree-d CR
     matrix, None where that element does not extend.  The kernel vectors
@@ -174,9 +174,8 @@ def _extend_kernel_batch(q: Quadric, d: int):
     kernel = cr_equation_matrix(q, d).kernel()
     if not kernel:
         return []
-    _, rows, unknowns = matching_matrix(q, d)
-    sols, _ = linalg.solve_many_sparse(rows, len(unknowns), kernel)
-    return sols
+    _, _, fact = matching_factorization(q, d)
+    return [fact.solve(v) for v in kernel]
 
 
 def _extension_sweep(q: Quadric, dmax: int):
@@ -193,8 +192,7 @@ def _extension_sweep(q: Quadric, dmax: int):
 
 
 def _matching_matrix_full_rank(q: Quadric, d: int) -> bool:
-    _, rows, unknowns = matching_matrix(q, d)
-    return linalg.rank_sparse(rows, len(unknowns)) == len(unknowns)
+    return matching_factorization(q, d)[2].unique
 
 
 # -- suites -----------------------------------------------------------

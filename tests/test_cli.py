@@ -226,6 +226,24 @@ class TestInputErrors:
         assert code == 2
 
 
+class TestInternalErrors:
+    def test_failed_invariant_exits_3_without_traceback(
+        self, capsys, manifold_file, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("matching solution left a nonzero residual")
+
+        monkeypatch.setattr("crsing.cli.extend_polynomial", broken)
+        for flags in ([], ["--json"]):
+            code, out, err = run(
+                capsys,
+                ["extend"] + flags + ["--manifold", manifold_file(RANK2), "--f", "z1"],
+            )
+            assert code == 3
+            assert out == ""
+            assert err == "internal error: matching solution left a nonzero residual\n"
+
+
 class TestStdin:
     def test_manifold_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(RANK1))

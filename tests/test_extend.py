@@ -37,7 +37,12 @@ from crsing.errors import (
     RankTooLow,
     RequiresNGe2,
 )
-from crsing.extend import weighted_monomial_index
+from crsing.extend import (
+    matching_factorization,
+    matching_matrix,
+    weighted_monomial_index,
+)
+from crsing.linalg import rref_sparse
 from crsing.verify import _extend_kernel_batch, _extension_sweep, random_quadric
 
 
@@ -144,6 +149,66 @@ class TestExtendHomogeneous:
         res = extend_homogeneous(q, f)
         assert res.F == parse_poly("w^2", 2)
 
+    def test_corrupted_factorization_trips_residual_guard(self):
+        q = triangular_family(ONE, ONE)
+        f = q.q_poly() + parse_poly("z1^2 + z1*z2 + z2^2", 2)
+        assert extend_homogeneous(copy_quadric(q), f).F == parse_poly(
+            "w + z1^2 + z1*z2 + z2^2", 2
+        )
+        # scale the first pivot row by 2: the replay still reports a
+        # consistent system, but its solution no longer matches f
+        log = matching_factorization(q, 2)[2]._log
+        r, pivot_at, inv, updates = log[0]
+        assert inv is None and not updates
+        log[0] = (r, pivot_at, g(2), updates)
+        with pytest.raises(RuntimeError, match="nonzero residual"):
+            extend_homogeneous(q, f)
+
+
+def copy_quadric(q: Quadric) -> Quadric:
+    """An equal quadric with caches of its own."""
+    return Quadric(q.n, q.A, q.B, q.C)
+
+
+def extend_or_none(q: Quadric, f: Poly):
+    try:
+        return extend_homogeneous(q, f)
+    except NoExtension:
+        return None
+
+
+class TestMatchingCache:
+    def test_interleaved_degrees_match_fresh_quadrics(self):
+        # one quadric visits its degrees out of order; each answer, and each
+        # NoExtension, must be the one an equal uncached quadric gives
+        rng = random.Random(7)
+        ranks = set()
+        failures = 0
+        for _ in range(6):
+            n = rng.choice((2, 3))
+            q = random_quadric(rng, n, zero_bias=0.6)
+            ranks.add(min(rank_condition(q), 2))
+            for d in (1, 3, 2, 1, 4):
+                for f in cr_equation_matrix(q, d).kernel_polys()[:4]:
+                    cached = extend_or_none(q, f)
+                    fresh = extend_or_none(copy_quadric(q), f)
+                    if fresh is None:
+                        assert cached is None
+                        failures += 1
+                    else:
+                        assert cached == fresh
+        assert {1, 2} <= ranks
+        assert failures > 0
+
+    def test_equal_quadrics_share_no_cache(self):
+        q1, q2 = quadric_diag(), quadric_diag()
+        assert q1 == q2 and q1 is not q2
+        extend_homogeneous(q1, q1.q_poly())
+        assert 2 in q1._matching
+        assert q2._matching == {}
+        extend_homogeneous(q2, q2.q_poly())
+        assert q1._matching[2][2] is not q2._matching[2][2]
+
 
 class TestExtendPolynomial:
     def test_inhomogeneous_input(self):
@@ -190,10 +255,35 @@ class TestMatrixDump:
         assert body["L(1,2):z1"] == ["0", "0", "0", "0"]
 
 
+def augmented_solutions(q: Quadric, d: int, rhs_list):
+    """Matching solutions from one uncached elimination of the augmented
+    matrix [M | b_1 ... b_k], None where b_k is not in the column space."""
+    _, rows, unknowns = matching_matrix(q, d)
+    ncols = len(unknowns)
+    aug = [dict(row) for row in rows]
+    for k, b in enumerate(rhs_list):
+        for i, bi in enumerate(b):
+            if bi:
+                aug[i][ncols + k] = bi
+    red, pivots = rref_sparse(aug, ncols)
+    sols = []
+    for k in range(len(rhs_list)):
+        if any(row.get(ncols + k) for row in red[len(pivots):]):
+            sols.append(None)
+            continue
+        x = [ZERO] * ncols
+        for i, pc in enumerate(pivots):
+            x[pc] = red[i].get(ncols + k, ZERO)
+        sols.append(x)
+    return sols
+
+
 class TestKernelBatch:
     def test_batch_agrees_with_extend_homogeneous(self):
-        # the batched sweep and the one-at-a-time solve share the matching
-        # matrix; both must give the same solution for every kernel element
+        # the batched sweep must give, for every kernel element, the
+        # solution of an uncached augmented elimination, and that solution
+        # must be the extension that extend_homogeneous finds on an equal
+        # quadric with a cache of its own
         rng = random.Random(7)
         ranks = set()
         for _ in range(8):
@@ -202,12 +292,14 @@ class TestKernelBatch:
             ranks.add(min(rank_condition(q), 2))
             all_extend = True
             for d in (1, 2, 3):
-                polys = cr_equation_matrix(q, d).kernel_polys()
+                mat = cr_equation_matrix(q, d)
+                polys = mat.kernel_polys()
                 sols = _extend_kernel_batch(q, d)
+                assert sols == augmented_solutions(q, d, mat.kernel())
                 assert len(sols) == len(polys)
                 for f, sol in zip(polys, sols):
                     try:
-                        F = extend_homogeneous(q, f).F
+                        F = extend_homogeneous(copy_quadric(q), f).F
                     except NoExtension:
                         assert sol is None
                         all_extend = False

@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crsing import GaussRational, I, ONE, ZERO
 from crsing.linalg import (
+    Factorization,
     mat_mul,
     nullspace,
     nullspace_sparse,
     rank,
     rank_sparse,
     rref_sparse,
-    solve_many_sparse,
     to_sparse,
     transpose,
     conj_transpose,
@@ -61,18 +64,17 @@ def test_nullspace_orthogonality():
 
 def test_solve_consistent_and_inconsistent():
     M = [[g(1), g(1)], [g(0), g(1)]]
-    (x,), unique = solve_many_sparse(to_sparse(M), 2, [[g(3), g(1)]])
-    assert x == [g(2), g(1)]
-    assert unique
+    fact = Factorization(to_sparse(M), 2)
+    assert fact.solve([g(3), g(1)]) == [g(2), g(1)]
+    assert fact.unique
     M2 = [[g(1), g(1)], [g(2), g(2)]]
-    sols, unique2 = solve_many_sparse(
-        to_sparse(M2), 2, [[g(1), g(3)], [g(1), g(2)]]
-    )
+    fact2 = Factorization(to_sparse(M2), 2)
     # rank-deficient, incompatible right-hand side
-    assert sols[0] is None
+    assert fact2.solve([g(1), g(3)]) is None
     # rank-deficient but consistent: a solution exists, not unique
-    assert mat_mul(M2, column(sols[1])) == column([g(1), g(2)])
-    assert not unique2
+    x = fact2.solve([g(1), g(2)])
+    assert mat_mul(M2, column(x)) == column([g(1), g(2)])
+    assert not fact2.unique
 
 
 def test_sparse_matches_dense():
@@ -96,14 +98,76 @@ def test_rref_sparse_pivots():
         assert r[p] == ONE
 
 
-def test_solve_many_sparse():
+def test_factorization_solves_many():
     M = to_sparse([[g(1), g(0)], [g(0), g(1)], [g(1), g(1)]])
     rhs_good = [g(1), g(2), g(3)]
     rhs_bad = [g(1), g(2), g(4)]
-    sols, unique = solve_many_sparse(M, 2, [rhs_good, rhs_bad])
-    assert unique
-    assert sols[0] == [g(1), g(2)]
-    assert sols[1] is None
+    fact = Factorization(M, 2)
+    assert fact.unique
+    assert fact.pivots == [0, 1]
+    assert fact.solve(rhs_good) == [g(1), g(2)]
+    assert fact.solve(rhs_bad) is None
+    # the same factorization answers again, in any order
+    assert fact.solve(rhs_good) == [g(1), g(2)]
+
+
+def reference_solve(rows, ncols, b):
+    """Solve A x = b by eliminating the augmented matrix [A | b]: the
+    exact reference that replaying a Factorization must reproduce."""
+    aug = [dict(row) for row in rows]
+    for i, bi in enumerate(b):
+        if bi:
+            aug[i][ncols] = bi
+    red, pivots = rref_sparse(aug, ncols)
+    if any(row.get(ncols) for row in red[len(pivots):]):
+        return None
+    x = [ZERO] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i].get(ncols, ZERO)
+    return x
+
+
+def small_gauss():
+    frac = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    return st.builds(GaussRational, frac, frac)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse matrix (wide, tall, rank-deficient or with no rows) and
+    right-hand sides inside and outside its column space."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), small_gauss())
+    dense = [
+        draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)
+    ]
+    # some rows repeat a multiple of an earlier row, so the rank drops
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, i - 1))
+            c = draw(small_gauss())
+            dense[i] = [c * a for a in dense[k]]
+    x = draw(st.lists(small_gauss(), min_size=ncols, max_size=ncols))
+    inside = [sum((a * xi for a, xi in zip(row, x)), ZERO) for row in dense]
+    outside = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return dense, ncols, [inside, outside]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_factorization_matches_augmented_elimination(system):
+    dense, ncols, (inside, outside) = system
+    rows = to_sparse(dense)
+    fact = Factorization(rows, ncols)
+    assert fact.unique == (rank_sparse(rows, ncols) == ncols)
+    for b in (inside, outside):
+        got = fact.solve(b)
+        assert got == reference_solve(rows, ncols, b)
+        if got is not None:
+            assert mat_mul(dense, column(got)) == column(b)
+    # b = A x lies in the column space
+    assert fact.solve(inside) is not None
 
 
 def test_zeros():
