@@ -58,6 +58,8 @@ class GaussRational:
         return GaussRational(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return GaussRational(self.re * other, self.im * other)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -104,7 +106,7 @@ class GaussRational:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)

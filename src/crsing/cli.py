@@ -372,10 +372,16 @@ def cmd_ode(args) -> int:
 def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else list(SUITES)
     overrides = {}
-    for key in ("samples", "dmax", "order", "bound", "seed"):
+    # smallest value of each suite parameter; every suite is skipped if one
+    # is out of range, since a suite given none of its samples passes vacuously
+    minimum = {"samples": 1, "dmax": 1, "order": 0, "bound": 0, "seed": None}
+    for key, low in minimum.items():
         val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
+        if val is None:
+            continue
+        if low is not None and val < low:
+            raise ValueError("--%s must be at least %d, got %d" % (key, low, val))
+        overrides[key] = val
     results = []
     for name in names:
         fn = SUITES[name]

@@ -11,6 +11,14 @@ degree-d CR polynomials.  Second, a candidate extension is an ansatz
 and matching monomial coefficients against a target f gives an exact linear
 system whose solvability decides extendability degree by degree.
 
+Both matrices are assembled by exponent arithmetic, without polynomial
+products.  Column c of the CR matrix is manifold.cr_image of the c-th
+monomial: the zbar partials of Q are computed once per matrix, and each
+output term is a shifted exponent with coefficient e times a coefficient of
+a partial.  Column (alpha, j) of the matching matrix is the list of terms
+of Q^j, taken from q.q_powers, with alpha added to their z exponents; it
+needs no coefficient arithmetic at all.
+
 Monomial columns are ordered by total z-degree, then lexicographically by
 the z exponents, then by the zbar exponents, all ascending.
 """
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -32,7 +41,16 @@ from .errors import (
     RequiresNGe2,
     WVariablePresent,
 )
-from .manifold import Quadric, cr_linear_space, is_cr, quadric_model, rank_condition
+from .manifold import (
+    Quadric,
+    cr_image,
+    cr_linear_space,
+    cr_pairs,
+    is_cr,
+    quadric_model,
+    rank_condition,
+    zb_partials,
+)
 
 
 def _compositions(total: int, parts: int):
@@ -102,26 +120,18 @@ def cr_equation_matrix(q: Quadric, d: int) -> CRMatrix:
         raise ValueError("degree must be at least 1")
     n = q.n
     monos = homogeneous_monomials(n, d)
-    col_of = {m: i for i, m in enumerate(monos)}
     row_of = {m: i for i, m in enumerate(monos)}
-    qp = q.q_poly()
-    partials = [qp.differentiate("zb%d" % j) for j in range(1, n + 1)]
-    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    partials = zb_partials(q.q_poly())
+    pairs = cr_pairs(n)
     rows: List[Dict[int, GaussRational]] = []
     row_labels: List[Tuple[int, int, Monomial]] = []
     for (k, l) in pairs:
         block: List[Dict[int, GaussRational]] = [dict() for _ in monos]
-        ck, cl = partials[l - 1], -partials[k - 1]
         for ci, mono in enumerate(monos):
-            f = Poly.from_monomial(mono, ONE, n)
-            image = ck * f.differentiate("zb%d" % k) + cl * f.differentiate(
-                "zb%d" % l
-            )
-            for om, c in image.terms.items():
-                block[row_of[om]][ci] = block[row_of[om]].get(ci, ZERO) + c
+            for om, c in cr_image(partials, k, l, ((mono, 1),)).items():
+                block[row_of[om]][ci] = c
         rows.extend(block)
         row_labels.extend((k, l, m) for m in monos)
-    rows = [{j: a for j, a in r.items() if a} for r in rows]
     return CRMatrix(
         n=n, degree=d, columns=monos, pairs=pairs, rows=rows, row_labels=row_labels
     )
@@ -192,9 +202,9 @@ def matching_matrix(q: Quadric, d: int):
     qpowers = q.q_powers(d // 2)
     rows: List[Dict[int, GaussRational]] = [dict() for _ in monos]
     for ci, (alpha, j) in enumerate(unknowns):
-        base = Poly.from_monomial(Monomial(alpha, (0,) * n, 0), ONE, n)
-        for m, c in (base * qpowers[j]).terms.items():
-            rows[row_of[m]][ci] = c
+        # z^alpha Q^j: shift the z exponents of every term of Q^j by alpha
+        for m, c in qpowers[j].terms.items():
+            rows[row_of[Monomial(tuple(map(add, alpha, m.z)), m.zb, 0)]][ci] = c
     return monos, rows, unknowns
 
 

@@ -15,12 +15,20 @@ CR structure away from the singular locus is spanned by the tangent fields
 
 and a function f(z, zbar) is CR when every L_{k,l} annihilates it as a
 polynomial identity.
+
+Every CR computation of the package (is_cr, is_cr_through, the CR linear
+space here and the CR equation matrix of extend.py) goes through one exact
+kernel: zb_partials computes the n partials rho_zb_j once per call, and
+cr_image applies L_{k,l} to a sparse term list by exponent arithmetic.
+CRField and cr_field keep the plain polynomial form of each operator; the
+tests use it as the reference for the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from operator import add
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .algebra import GaussRational, Monomial, Poly, ZERO, as_gauss
@@ -235,9 +243,61 @@ def cr_field(m: Manifold, k: int, l: int) -> CRField:
 
 def cr_fields(m: Manifold) -> List[CRField]:
     _require_n(m.n)
-    return [
-        cr_field(m, k, l) for k in range(1, m.n + 1) for l in range(k + 1, m.n + 1)
-    ]
+    return [cr_field(m, k, l) for k, l in cr_pairs(m.n)]
+
+
+def cr_pairs(n: int) -> List[Tuple[int, int]]:
+    """The index pairs (k, l), 1 <= k < l <= n, of the fields L_{k,l}."""
+    return [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+
+
+Terms = List[Tuple[Monomial, GaussRational]]
+
+
+def zb_partials(rho: Poly) -> List[Terms]:
+    """The partials rho_zb_1, ..., rho_zb_n, each as a list of (monomial,
+    coefficient) terms.  Lowering one zbar exponent sends distinct
+    monomials to distinct monomials, so no list repeats a monomial."""
+    partials: List[Terms] = [[] for _ in range(rho.n)]
+    for mono, c in rho.terms.items():
+        zb = mono.zb
+        for j, e in enumerate(zb):
+            if e:
+                lowered = zb[:j] + (e - 1,) + zb[j + 1 :]
+                partials[j].append((Monomial(mono.z, lowered, mono.w), c * e))
+    return partials
+
+
+def cr_image(
+    partials: List[Terms], k: int, l: int, terms
+) -> Dict[Monomial, GaussRational]:
+    """L_{k,l} applied to the polynomial with the given (monomial,
+    coefficient) terms, as a dict of its nonzero terms.
+
+    partials is zb_partials(rho).  A term c z^a zb^b maps to
+    c b_k rho_zb_l z^a zb^(b - e_k) - c b_l rho_zb_k z^a zb^(b - e_l), so
+    every output monomial is a lowered exponent plus the exponent of one
+    term of a partial, and every output coefficient is c * e * pc: no
+    polynomial is built and nothing is differentiated.  A coefficient c may
+    be an int, as for the unit columns of the CR matrix; c * e then stays
+    an int and scales pc without a full Gaussian product."""
+    out: Dict[Monomial, GaussRational] = {}
+    sides = ((k - 1, 1, partials[l - 1]), (l - 1, -1, partials[k - 1]))
+    for mono, c in terms:
+        z, zb, w = mono.z, mono.zb, mono.w
+        for i, sign, partial in sides:
+            e = zb[i]
+            if not e or not partial:
+                continue
+            ce = c * (sign * e)
+            lowered = zb[:i] + (e - 1,) + zb[i + 1 :]
+            for pm, pc in partial:
+                om = Monomial(
+                    tuple(map(add, z, pm.z)), tuple(map(add, lowered, pm.zb)), w + pm.w
+                )
+                acc = out.get(om)
+                out[om] = ce * pc if acc is None else acc + ce * pc
+    return {om: c for om, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -260,16 +320,15 @@ def is_cr(m: Manifold, f: Poly) -> CRCheck:
         raise DimensionMismatch("f lives in dimension %d, manifold in %d" % (f.n, m.n))
     if not f.is_w_free:
         raise WVariablePresent("a CR function candidate must not contain w")
-    rho = m.rho()
-    vacuous = all(
-        rho.differentiate("zb%d" % j).is_zero for j in range(1, m.n + 1)
-    )
+    partials = zb_partials(m.rho())
     failures = []
-    for fld in cr_fields(m):
-        residual = fld.apply(f)
-        if not residual.is_zero:
-            failures.append(((fld.k, fld.l), residual))
-    return CRCheck(holds=not failures, vacuous=vacuous, failures=tuple(failures))
+    for k, l in cr_pairs(m.n):
+        image = cr_image(partials, k, l, f.terms.items())
+        if image:
+            failures.append(((k, l), Poly(m.n, image)))
+    return CRCheck(
+        holds=not failures, vacuous=not any(partials), failures=tuple(failures)
+    )
 
 
 def is_cr_through(m: Manifold, f: Poly, N: int) -> bool:
@@ -277,7 +336,13 @@ def is_cr_through(m: Manifold, f: Poly, N: int) -> bool:
     the CR equations up to order N, the contract of formal extension."""
     if f.n != m.n:
         raise DimensionMismatch("f lives in dimension %d, manifold in %d" % (f.n, m.n))
-    return all(fld.apply(f).truncate(N).is_zero for fld in cr_fields(m))
+    _require_n(m.n)
+    partials = zb_partials(m.rho())
+    return not any(
+        om.total_degree() <= N
+        for k, l in cr_pairs(m.n)
+        for om in cr_image(partials, k, l, f.terms.items())
+    )
 
 
 def cr_linear_space(q: Quadric) -> List[List[GaussRational]]:
@@ -290,17 +355,16 @@ def cr_linear_space(q: Quadric) -> List[List[GaussRational]]:
     """
     _require_n(q.n)
     n = q.n
-    qp = q.q_poly()
-    partials = [qp.differentiate("zb%d" % j) for j in range(1, n + 1)]
+    partials = [dict(p) for p in zb_partials(q.q_poly())]
     rows = []
     for k in range(n):
         for l in range(k + 1, n):
             # L_{k,l}(v . zbar) = Q_zb_l * v_k - Q_zb_k * v_l
-            monos = set(partials[l].terms) | set(partials[k].terms)
+            monos = set(partials[l]) | set(partials[k])
             for mono in sorted(monos, key=lambda mm: mm.canonical_key()):
                 row = {}
-                ck = partials[l].coefficient(mono)
-                cl = partials[k].coefficient(mono)
+                ck = partials[l].get(mono, ZERO)
+                cl = partials[k].get(mono, ZERO)
                 if ck:
                     row[k] = ck
                 if cl:

@@ -16,6 +16,10 @@ RANK1 = '{"n": 2, "A": [["0", "1"], ["0", "0"]]}'
 RANK2 = '{"n": 2, "B": [["1", "0"], ["0", "1"]]}'
 CUBIC = '{"n": 2, "A": [["0", "1"], ["0", "0"]], "E": "zb2^3"}'
 FLAT = '{"n": 2, "A": [["1", "0"], ["0", "1"]]}'
+N3B = (
+    '{"n": 3, "A": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],'
+    ' "B": [["0", "i", "0"], ["i", "0", "0"], ["0", "0", "2"]]}'
+)
 
 
 @pytest.fixture
@@ -376,6 +380,145 @@ class TestCrBasis:
         assert res["dimension"] == len(mat.columns) - mat.rank()
 
 
+# cr-basis --degree 2 --dump-matrix on N3B, recorded before the CR matrix
+# was assembled by exponent arithmetic
+N3B_D2_CSV = (
+    'row,zb3^2,zb2*zb3,zb2^2,zb1*zb3,zb1*zb2,zb1^2,z3*zb3,zb2*z3,zb1*z3,z2*zb3,z2*zb2,zb1*z2,z1*zb3,z1*zb2,z1*zb1,z3^2,z2*z3,z2^2,z1*z3,z1*z2,z1^2\n'
+    '"L(1,2):zb3^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb2*zb3",0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb2^2",0,0,4i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb1*zb3",0,0,0,-2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb1*zb2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb1^2",0,0,0,0,0,-4i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z3*zb3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb2*z3",0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb1*z3",0,0,0,0,0,0,0,0,-2i,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z2*zb3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z2*zb2",0,0,0,0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):zb1*z2",0,0,0,0,0,0,0,0,0,0,0,-2i,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z1*zb3",0,-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z1*zb2",0,0,-2,0,0,0,0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0\n'
+    '"L(1,2):z1*zb1",0,0,0,0,-1,0,0,0,0,0,0,0,0,0,-2i,0,0,0,0,0,0\n'
+    '"L(1,2):z3^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z2*z3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z2^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z1*z3",0,0,0,0,0,0,0,-1,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z1*z2",0,0,0,0,0,0,0,0,0,0,-1,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,2):z1^2",0,0,0,0,0,0,0,0,0,0,0,0,0,-1,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb3^2",0,0,0,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb2*zb3",4i,0,0,0,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb2^2",0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb1*zb3",0,0,0,0,0,8,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb1*zb2",0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb1^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z3*zb3",0,0,0,0,0,0,0,0,4,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb2*z3",0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb1*z3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z2*zb3",0,0,0,0,0,0,0,0,0,0,0,4,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z2*zb2",0,0,0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):zb1*z2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z1*zb3",-2,0,0,0,0,0,0,0,0,0,0,0,0,0,4,0,0,0,0,0,0\n'
+    '"L(1,3):z1*zb2",0,-1,0,0,0,0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z1*zb1",0,0,0,-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z3^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z2*z3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z2^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z1*z3",0,0,0,0,0,0,-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z1*z2",0,0,0,0,0,0,0,0,0,-1,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(1,3):z1^2",0,0,0,0,0,0,0,0,0,0,0,0,-1,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb3^2",0,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb2*zb3",0,0,8,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb2^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb1*zb3",4i,0,0,0,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb1*zb2",0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb1^2",0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z3*zb3",0,0,0,0,0,0,0,4,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb2*z3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb1*z3",0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z2*zb3",0,0,0,0,0,0,0,0,0,0,4,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z2*zb2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):zb1*z2",0,0,0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z1*zb3",0,0,0,0,0,0,0,0,0,0,0,0,0,4,0,0,0,0,0,0,0\n'
+    '"L(2,3):z1*zb2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z1*zb1",0,0,0,0,0,0,0,0,0,0,0,0,2i,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z3^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z2*z3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z2^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z1*z3",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z1*z2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+    '"L(2,3):z1^2",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n'
+)
+
+
+class TestGoldenImages:
+    """Exact CLI bytes of CR images and CR matrices on n = 3 with B != 0 and
+    on n = 2 with E != 0."""
+
+    N3B_F = "zb1*z3 - i*zb2^2 + zb3^3"
+    N3B_FAILURES = [
+        {"pair": [1, 2], "image": "2i*z1*zb2 - 2i*zb1*z3 + 4*zb2^2"},
+        {"pair": [1, 3], "image": "4*z3*zb3 - 3*z1*zb3^2 + 6i*zb2*zb3^2"},
+        {"pair": [2, 3], "image": "-8i*zb2*zb3 + 6i*zb1*zb3^2"},
+    ]
+    CUBIC_F = "z1^2*zb2 - 3*zb1*zb2*z2 + i*zb1^3"
+    CUBIC_FAILURES = [
+        {"pair": [1, 2], "image": "-z1^2*z2 + 3*zb1*z2^2 - 9*z2*zb2^3 + 9i*zb1^2*zb2^2"}
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, f, failures",
+        [(N3B, N3B_F, N3B_FAILURES), (CUBIC, CUBIC_F, CUBIC_FAILURES)],
+    )
+    def test_check_cr_failure_images(self, capsys, manifold_file, spec, f, failures):
+        path = manifold_file(spec)
+        code, out, err = run(capsys, ["check-cr", "--manifold", path, "--f", f])
+        assert code == 1 and err == ""
+        assert out == "CR: no\n" + "".join(
+            "  L(%d,%d) f = %s\n" % (tuple(x["pair"]) + (x["image"],)) for x in failures
+        )
+        code, payload = run_json(capsys, ["check-cr", "--manifold", path, "--f", f])
+        assert code == 1
+        assert payload == {
+            "certificate": {"failures": failures},
+            "command": "check-cr",
+            "ok": False,
+            "result": {"holds": False, "vacuous": False},
+        }
+
+    def test_n3_dump_matrix(self, capsys, manifold_file, tmp_path):
+        out_path = tmp_path / "matrix.csv"
+        argv = ["cr-basis", "--manifold", manifold_file(N3B), "--degree", "2"]
+        code, out, _ = run(capsys, argv + ["--dump-matrix", str(out_path)])
+        assert code == 0
+        assert out == (
+            "degree 2 CR space has dimension 7\n"
+            "  z1*zb1 - 2i*zb1*zb2 + 2*zb3^2\n"
+            "  z3^2\n  z2*z3\n  z2^2\n  z1*z3\n  z1*z2\n  z1^2\n"
+            "matrix written to %s\n" % out_path
+        )
+        assert out_path.read_text(encoding="utf-8") == "".join(N3B_D2_CSV)
+
+    def test_cubic_dump_matrix(self, capsys, manifold_file, tmp_path):
+        # the CR matrix sees only the quadric part zb1*z2 of rho
+        out_path = tmp_path / "matrix.csv"
+        argv = ["cr-basis", "--manifold", manifold_file(CUBIC), "--degree", "2"]
+        code, _, _ = run(capsys, argv + ["--dump-matrix", str(out_path)])
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == (
+            "row,zb2^2,zb1*zb2,zb1^2,z2*zb2,zb1*z2,z1*zb2,z1*zb1,z2^2,z1*z2,z1^2\n"
+            '"L(1,2):zb2^2",0,0,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):zb1*zb2",0,0,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):zb1^2",0,0,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):z2*zb2",-2,0,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):zb1*z2",0,-1,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):z1*zb2",0,0,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):z1*zb1",0,0,0,0,0,0,0,0,0,0\n'
+            '"L(1,2):z2^2",0,0,0,-1,0,0,0,0,0,0\n'
+            '"L(1,2):z1*z2",0,0,0,0,0,-1,0,0,0,0\n'
+            '"L(1,2):z1^2",0,0,0,0,0,0,0,0,0,0\n'
+        )
+
+
 class TestOde:
     def test_case_a_witness(self, capsys):
         code, payload = run_json(
@@ -467,3 +610,29 @@ class TestVerify:
         assert len(suites) == 1
         assert suites[0]["suite"] == "rank-formula"
         assert all(row["ok"] for row in suites[0]["rows"])
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("rank-formula", "--samples", "0"),
+            ("uniqueness", "--samples", "-2"),
+            ("block-ranks", "--samples", "0"),
+            ("rank-formula", "--dmax", "0"),
+            ("ode", "--bound", "-1"),
+            ("examples", "--order", "-1"),
+        ],
+    )
+    def test_out_of_range_parameters_rejected(
+        self, capsys, monkeypatch, suite, flag, value
+    ):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr("crsing.cli.run_suite", no_suite)
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(
+                capsys, ["verify"] + json_flag + ["--suite", suite, flag, value]
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: %s must be at least" % flag)
