@@ -278,6 +278,8 @@ def check_first_integral(m: Manifold, g: Poly, N: int = 8) -> FirstIntegralRepor
     quadratic part a nonzero real multiple of Q.  The last test needs Q
     itself real-valued (A Hermitian and C = B); otherwise it is skipped and
     flagged as requiring prior normalization."""
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
     if m.n < 2:
         raise RequiresNGe2("first integral checks need n >= 2")
     if rank_condition(m.quadric) < 2:

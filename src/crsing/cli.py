@@ -17,7 +17,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .algebra import GaussRational, Poly
+from .algebra import Poly
 from .classify import (
     check_first_integral,
     classify_cr_image,
@@ -99,12 +99,8 @@ def _emit(args, command: str, ok: bool, result, certificate, lines: List[str]):
             print(line)
 
 
-def _coeff_str(c: GaussRational) -> str:
-    return format_coeff(c)
-
-
 def _matrix_json(M) -> List[List[str]]:
-    return [[_coeff_str(c) for c in row] for row in M]
+    return [[format_coeff(c) for c in row] for row in M]
 
 
 def _render_eta(p: Optional[Poly]) -> Optional[str]:
@@ -198,12 +194,12 @@ def cmd_extend(args) -> int:
         except DegenerateQuadric:
             v = None
         if v is not None:
-            certificate = {"counterexample": [_coeff_str(c) for c in v]}
+            certificate = {"counterexample": [format_coeff(c) for c in v]}
         result = {"reason": str(e), "degree": e.degree}
         lines = ["no extension: %s" % e]
         if v is not None:
             lines.append(
-                "certificate: v = (%s)" % ", ".join(_coeff_str(c) for c in v)
+                "certificate: v = (%s)" % ", ".join(format_coeff(c) for c in v)
             )
         _emit(args, "extend", False, result, certificate, lines)
         return EXIT_NEGATIVE
@@ -269,7 +265,7 @@ def cmd_counterexample(args) -> int:
         if c:
             f = f + c * Poly.variable("zb%d" % (i + 1), m.n)
     fstr = format_poly(f)
-    result = {"vector": [_coeff_str(c) for c in v], "cr_function": fstr}
+    result = {"vector": [format_coeff(c) for c in v], "cr_function": fstr}
     lines = ["counterexample: f = %s is CR but has no extension" % fstr]
     _emit(args, "counterexample", True, result, None, lines)
     return EXIT_OK
@@ -297,7 +293,7 @@ def cmd_flatten_check(args) -> int:
         "real_valued": report.real_valued,
         "cr_to_order": report.cr_to_order,
         "quadratic_matches": report.quadratic_matches,
-        "alpha": None if report.alpha is None else _coeff_str(report.alpha),
+        "alpha": None if report.alpha is None else format_coeff(report.alpha),
         "normalization_required": report.normalization_required,
         "order": report.order,
     }
@@ -310,7 +306,7 @@ def cmd_flatten_check(args) -> int:
     else:
         lines.append(
             "quadratic part is alpha*Q: %s"
-            % ("yes, alpha = %s" % _coeff_str(report.alpha) if report.quadratic_matches else "no")
+            % ("yes, alpha = %s" % format_coeff(report.alpha) if report.quadratic_matches else "no")
         )
     if not report.ok:
         _emit(args, "flatten-check", False, result, None, lines + ["not a first integral"])

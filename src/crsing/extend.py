@@ -37,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     NoExtension,
     NotCR,
-    RankTooLow,
     RequiresNGe2,
     WVariablePresent,
 )
@@ -230,14 +229,16 @@ class ExtensionResult:
     unique: bool
 
 
-def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionResult:
-    """Extend one homogeneous CR polynomial across the quadric.
+def extend_homogeneous(q: Quadric, f: Poly) -> ExtensionResult:
+    """Extend one homogeneous polynomial across the quadric.
 
     Solves the exact linear system matching f against the z^alpha Q^j ansatz
-    of the same weighted degree.  Inconsistency raises NoExtension; that can
-    only happen when the stacked rank is at most one.  A solution is
-    returned only after the exact residual f - F(z, Q) has been checked to
-    vanish; a nonzero one is an internal fault and raises RuntimeError."""
+    of the same weighted degree.  A solution is returned only after the
+    exact residual f - F(z, Q) has been checked to vanish; a nonzero one is
+    an internal fault and raises RuntimeError.  Every F(z, Q) is CR, so that
+    identity also certifies f as CR.  The CR equations are evaluated only
+    when the system is inconsistent, to tell NotCR from NoExtension; a CR f
+    without extension can only occur when the stacked rank is at most one."""
     if q.n < 2:
         raise RequiresNGe2("extension needs n >= 2")
     if not f.is_w_free:
@@ -249,14 +250,12 @@ def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionR
     d = f.total_degree()
     if f.order() != d:
         raise ValueError("f must be homogeneous")
-    if check_cr:
-        chk = is_cr(quadric_model(q), f)
-        if not chk.holds:
-            raise NotCR("f fails the CR equations at degree %d" % d, degree=d)
     n = q.n
     monos, unknowns, fact = matching_factorization(q, d)
     sol = fact.solve([f.terms.get(m, ZERO) for m in monos])
     if sol is None:
+        if not is_cr(quadric_model(q), f).holds:
+            raise NotCR("degree-%d part of f fails the CR equations" % d, degree=d)
         raise NoExtension(
             "no holomorphic polynomial matches f at degree %d" % d, degree=d
         )
@@ -274,32 +273,25 @@ def extend_homogeneous(q: Quadric, f: Poly, check_cr: bool = True) -> ExtensionR
     return ExtensionResult(F=F, residual=residual, unique=fact.unique)
 
 
-def extend_polynomial(
-    q: Quadric, f: Poly, require_rank: bool = False
-) -> ExtensionResult:
-    """Extend a CR polynomial degree by degree.
+def extend_polynomial(q: Quadric, f: Poly) -> ExtensionResult:
+    """Extend a polynomial degree by degree.
 
-    Each homogeneous part must itself be CR (on a quadric the CR equations
-    preserve degree), and each part is extended separately.  With
-    require_rank set, quadrics of stacked rank below two are rejected up
-    front instead of being attempted."""
+    On a quadric the CR equations preserve degree, so f is CR exactly when
+    each homogeneous part is, and each part is extended separately by
+    extend_homogeneous.  The first part, in ascending degree, that is not
+    CR raises NotCR and the first CR part without extension raises
+    NoExtension, each tagged with its degree."""
     if q.n < 2:
         raise RequiresNGe2("extension needs n >= 2")
-    if require_rank and rank_condition(q) < 2:
-        raise RankTooLow("stacked matrix [A*; B] has rank below two")
     if not f.is_w_free:
         raise WVariablePresent("f must be a function of z and zbar only")
-    model = quadric_model(q)
     F = Poly.zero(q.n)
     unique = True
     for d, part in f.homogeneous_parts():
         if d == 0:
             F = F + part
             continue
-        chk = is_cr(model, part)
-        if not chk.holds:
-            raise NotCR("degree-%d part of f fails the CR equations" % d, degree=d)
-        res = extend_homogeneous(q, part, check_cr=False)
+        res = extend_homogeneous(q, part)
         F = F + res.F
         unique = unique and res.unique
     residual = f - F.substitute_w(q.q_poly())

@@ -25,7 +25,7 @@ from .errors import (
     WVariablePresent,
 )
 from .extend import extend_homogeneous
-from .manifold import Manifold, is_cr, is_cr_through, quadric_model, rank_condition
+from .manifold import Manifold, is_cr_through, rank_condition
 
 
 @dataclass
@@ -57,6 +57,13 @@ def formal_extend(
     it the construction is attempted and fails with NoExtension at the
     first homogeneous part that does not match, which for restrictions of
     holomorphic polynomials never happens.
+
+    Each step is one extend_homogeneous call on the lowest part of the
+    remainder, returned only with a zero exact residual on the quadric.
+    That part is always CR on the quadric model: the remainder is f minus
+    a restriction F(z, rho), which every CR field kills, so the fields of
+    the manifold annihilate it through degree N; the lowest-degree part of
+    that image is the quadric model's field applied to the lowest part.
     """
     if m.n < 2:
         raise RequiresNGe2("formal extension needs n >= 2")
@@ -77,7 +84,6 @@ def formal_extend(
                     "f fails the CR equations on the manifold at degree %d" % k,
                     degree=k,
                 )
-    model = quadric_model(m.quadric)
     rho = m.rho()
     F = Poly.zero(m.n)
     unique = True
@@ -95,14 +101,7 @@ def formal_extend(
             F = F + part
             remainder = remainder - part
             continue
-        chk = is_cr(model, part)
-        if not chk.holds:
-            raise NotCR(
-                "degree-%d part of f fails the CR equations on the quadric model"
-                % k,
-                degree=k,
-            )
-        step = extend_homogeneous(m.quadric, part, check_cr=False)
+        step = extend_homogeneous(m.quadric, part)
         unique = unique and step.unique
         F = F + step.F
         # only degrees <= N matter for the loop; the exact residual is

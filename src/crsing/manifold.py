@@ -355,22 +355,16 @@ def cr_linear_space(q: Quadric) -> List[List[GaussRational]]:
     """
     _require_n(q.n)
     n = q.n
-    partials = [dict(p) for p in zb_partials(q.q_poly())]
+    partials = zb_partials(q.q_poly())
     rows = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            # L_{k,l}(v . zbar) = Q_zb_l * v_k - Q_zb_k * v_l
-            monos = set(partials[l]) | set(partials[k])
-            for mono in sorted(monos, key=lambda mm: mm.canonical_key()):
-                row = {}
-                ck = partials[l].get(mono, ZERO)
-                cl = partials[k].get(mono, ZERO)
-                if ck:
-                    row[k] = ck
-                if cl:
-                    row[l] = -cl
-                if row:
-                    rows.append(row)
+    for k, l in cr_pairs(n):
+        # one row per output monomial of L_{k,l}, one column per zb_j
+        block: Dict[Monomial, Dict[int, GaussRational]] = {}
+        for j in range(n):
+            zb_j = ((Monomial.of_var("zb", j + 1, n), 1),)
+            for om, c in cr_image(partials, k, l, zb_j).items():
+                block.setdefault(om, {})[j] = c
+        rows.extend(block.values())
     return linalg.nullspace_sparse(rows, n)
 
 

@@ -43,6 +43,7 @@ from typing import List, Optional
 from . import linalg
 from .algebra import (
     GaussRational,
+    Monomial,
     ONE,
     Poly,
     ZERO,
@@ -192,24 +193,22 @@ def decide(case: str, params: ODEParams) -> ODEDecision:
 def brute_force_ode(case: str, params: ODEParams, D: int) -> ODEDecision:
     """Decide by solving for the coefficients of zeta up to degree D.
 
-    Builds the linear system for zeta = sum c_m eta^m, m <= D, from exact
-    residuals of the basis monomials, and classifies its kernel.  Used as an
-    oracle against the closed-form criteria."""
+    With R = r0 + r1 eta + r2 eta^2, the residual of eta^m is
+    -m r0 eta^(m-1) + (p - m r1) eta^m + (q - m r2) eta^(m+1), so the linear
+    system for zeta = sum c_m eta^m, m <= D, is tridiagonal and is written
+    down entry by entry; its kernel is then classified.  Used as an oracle
+    against the closed-form criteria, so it shares nothing with decide."""
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    columns = []
-    max_out = 0
-    for mdeg in range(D + 1):
-        res = ode_residual(case, params, eta() ** mdeg)
-        col = {}
-        for mono, c in res.terms.items():
-            col[mono.z[0]] = c
-            max_out = max(max_out, mono.z[0])
-        columns.append(col)
-    rows: List[dict] = [dict() for _ in range(max_out + 1)]
-    for ci, col in enumerate(columns):
-        for out_deg, c in col.items():
-            rows[out_deg][ci] = c
+    R = rhs_poly(case, params)
+    r0, r1, r2 = (R.coefficient(Monomial((i,), (0,), 0)) for i in range(3))
+    p, q = as_gauss(params.p), as_gauss(params.q)
+    rows: List[dict] = [dict() for _ in range(D + 2)]
+    for m in range(D + 1):
+        # column m is the residual of eta^m; for m = 0 there is no row -1
+        for row, c in ((m - 1, -m * r0), (m, p - m * r1), (m + 1, q - m * r2)):
+            if c and row >= 0:
+                rows[row][m] = c
     kernel = linalg.nullspace_sparse(rows, D + 1)
     if not kernel:
         return ODEDecision(Verdict.NO_NONZERO)
@@ -221,9 +220,6 @@ def brute_force_ode(case: str, params: ODEParams, D: int) -> ODEDecision:
             best_deg = deg
             best = vec
     if best_deg >= 1:
-        witness = sum(
-            (Poly.constant(c, 1) * eta() ** i for i, c in enumerate(best) if c),
-            Poly.zero(1),
-        )
+        witness = Poly(1, {Monomial((i,), (0,), 0): c for i, c in enumerate(best)})
         return ODEDecision(Verdict.NONCONSTANT_POLY, witness)
     return ODEDecision(Verdict.CONSTANT_ONLY)

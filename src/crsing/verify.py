@@ -191,10 +191,6 @@ def _extension_sweep(q: Quadric, dmax: int):
     return r, all_extend, lin_trivial
 
 
-def _matching_matrix_full_rank(q: Quadric, d: int) -> bool:
-    return matching_factorization(q, d)[2].unique
-
-
 # -- suites -----------------------------------------------------------
 
 
@@ -313,7 +309,7 @@ def suite_uniqueness(samples: int = 20, dmax: int = 6, seed: int = 40087) -> Sui
             continue
         produced += 1
         for d in range(1, dmax + 1):
-            if not _matching_matrix_full_rank(q, d):
+            if not matching_factorization(q, d)[2].unique:
                 ok = False
     out.add(
         "full column rank",
@@ -628,7 +624,3 @@ SUITES: Dict[str, Callable[..., SuiteResult]] = {
 def run_suite(name: str, **overrides) -> SuiteResult:
     fn = SUITES[name]
     return fn(**overrides)
-
-
-def run_all() -> List[SuiteResult]:
-    return [SUITES[name]() for name in SUITES]

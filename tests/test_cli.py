@@ -16,6 +16,10 @@ RANK1 = '{"n": 2, "A": [["0", "1"], ["0", "0"]]}'
 RANK2 = '{"n": 2, "B": [["1", "0"], ["0", "1"]]}'
 CUBIC = '{"n": 2, "A": [["0", "1"], ["0", "0"]], "E": "zb2^3"}'
 FLAT = '{"n": 2, "A": [["1", "0"], ["0", "1"]]}'
+R1N3 = '{"n": 3, "A": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]}'
+# rank one through B = u u^t with u = (1, i, 2), and through A = a b^t
+R1N3_B = '{"n": 3, "B": [["1", "i", "2"], ["i", "-1", "2i"], ["2", "2i", "4"]]}'
+R1N3_A = '{"n": 3, "A": [["1", "0", "3"], ["1/2", "0", "3/2"], ["-i", "0", "-3i"]]}'
 N3B = (
     '{"n": 3, "A": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],'
     ' "B": [["0", "i", "0"], ["i", "0", "0"], ["0", "0", "2"]]}'
@@ -228,6 +232,24 @@ class TestInputErrors:
             ["cr-basis", "--manifold", manifold_file(RANK1), "--degree", "0"],
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("order", ["-1", "-3"])
+    @pytest.mark.parametrize(
+        "spec, g",
+        [(FLAT, "z1"), (FLAT, "z1*zb1 + z2*zb2"), (RANK1, "z1*zb2")],
+        ids=["not-integral", "integral", "rank-one"],
+    )
+    def test_flatten_check_negative_order(self, capsys, manifold_file, spec, g, order):
+        # rejected before any test of g, whether or not g is a first integral
+        # and whatever the rank
+        path = manifold_file(spec)
+        for json_flag in ([], ["--json"]):
+            argv = ["flatten-check"] + json_flag + ["--manifold", path]
+            code, out, err = run(capsys, argv + ["--g", g, "--order", order])
+            assert code == 2
+            assert out == ""
+            assert err == "error: truncation order must be nonnegative\n"
 
 
 class TestInternalErrors:
@@ -516,6 +538,140 @@ class TestGoldenImages:
             '"L(1,2):z2^2",0,0,0,-1,0,0,0,0,0,0\n'
             '"L(1,2):z1*z2",0,0,0,0,0,-1,0,0,0,0\n'
             '"L(1,2):z1^2",0,0,0,0,0,0,0,0,0,0\n'
+        )
+
+
+def _json_bytes(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestGoldenAnswers:
+    """Exact CLI bytes of negative extension answers, n = 3 counterexamples
+    and brute-force ODE checks, plain and with --json."""
+
+    @pytest.mark.parametrize(
+        "spec, f, text, result, certificate",
+        [
+            (
+                RANK1,
+                "i*zb1 - zb2",
+                "not CR: degree-1 part of f fails the CR equations\n",
+                {"degree": 1, "reason": "degree-1 part of f fails the CR equations"},
+                None,
+            ),
+            (
+                RANK1,
+                "z1 + zb1*z2 + z1*zb1",
+                "no extension: no holomorphic polynomial matches f at degree 2\n"
+                "certificate: v = (1, 0)\n",
+                {"degree": 2, "reason": "no holomorphic polynomial matches f at degree 2"},
+                {"counterexample": ["1", "0"]},
+            ),
+            (
+                R1N3,
+                "z1 + zb3^2",
+                "not CR: degree-2 part of f fails the CR equations\n",
+                {"degree": 2, "reason": "degree-2 part of f fails the CR equations"},
+                None,
+            ),
+            (
+                R1N3,
+                "z2 + zb1^2",
+                "no extension: no holomorphic polynomial matches f at degree 2\n"
+                "certificate: v = (1, 0, 0)\n",
+                {"degree": 2, "reason": "no holomorphic polynomial matches f at degree 2"},
+                {"counterexample": ["1", "0", "0"]},
+            ),
+        ],
+    )
+    def test_extend_refusals(
+        self, capsys, manifold_file, spec, f, text, result, certificate
+    ):
+        argv = ["extend", "--manifold", manifold_file(spec), "--f", f]
+        assert run(capsys, argv) == (1, text, "")
+        assert run(capsys, argv[:1] + ["--json"] + argv[1:]) == (
+            1,
+            _json_bytes(
+                {
+                    "certificate": certificate,
+                    "command": "extend",
+                    "ok": False,
+                    "result": result,
+                }
+            ),
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "spec, f, vector",
+        [
+            (R1N3_B, "1/2*zb1 - 1/2i*zb2 + zb3", ["1/2", "-1/2i", "1"]),
+            (R1N3_A, "i*zb1 + 1/2i*zb2 + zb3", ["i", "1/2i", "1"]),
+        ],
+    )
+    def test_n3_counterexamples(self, capsys, manifold_file, spec, f, vector):
+        argv = ["counterexample", "--manifold", manifold_file(spec)]
+        assert run(capsys, argv) == (
+            0,
+            "counterexample: f = %s is CR but has no extension\n" % f,
+            "",
+        )
+        assert run(capsys, argv[:1] + ["--json"] + argv[1:]) == (
+            0,
+            _json_bytes(
+                {
+                    "certificate": None,
+                    "command": "counterexample",
+                    "ok": True,
+                    "result": {"cr_function": f, "vector": vector},
+                }
+            ),
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "case, coeffs, witness",
+        [
+            ("a", ["--p", "2", "--r", "1", "--s", "1"], "1 + 2*eta + eta^2"),
+            (
+                "b",
+                ["--p", "0", "--q", "2", "--r", "-2", "--s", "0", "--t", "1"],
+                "-2 + eta^2",
+            ),
+            ("c", ["--p", "-2", "--q", "2", "--t", "1", "--xi", "1"], "1 - 2*eta + eta^2"),
+        ],
+    )
+    def test_ode_brute_bound_12(self, capsys, case, coeffs, witness):
+        argv = ["ode", "--case", case] + coeffs + ["--brute-bound", "12"]
+        assert run(capsys, argv) == (
+            0,
+            "verdict: nonconstant_poly\n"
+            "witness: zeta = %s\n"
+            "brute force (degree <= 12): nonconstant_poly\n" % witness,
+            "",
+        )
+        brute = {
+            "agrees": True,
+            "bound": 12,
+            "verdict": "nonconstant_poly",
+            "witness": witness,
+        }
+        assert run(capsys, argv[:1] + ["--json"] + argv[1:]) == (
+            0,
+            _json_bytes(
+                {
+                    "certificate": None,
+                    "command": "ode",
+                    "ok": True,
+                    "result": {
+                        "brute_force": brute,
+                        "case": case,
+                        "verdict": "nonconstant_poly",
+                        "witness": witness,
+                    },
+                }
+            ),
+            "",
         )
 
 
