@@ -331,11 +331,6 @@ class Poly:
             return None
         return max(m.total_degree() for m in self.terms)
 
-    def weighted_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return max(m.weighted_degree() for m in self.terms)
-
     def order(self) -> Optional[int]:
         """Smallest total degree among terms; None for the zero polynomial."""
         if not self.terms:
@@ -490,27 +485,18 @@ class Poly:
             terms[Monomial(m.zb, m.z, 0)] = c.conjugate()
         return Poly(self.n, terms)
 
-    def homogeneous_part(self, d: int, weighted: bool = False) -> "Poly":
-        if weighted:
-            terms = {m: c for m, c in self.terms.items() if m.weighted_degree() == d}
-        else:
-            terms = {m: c for m, c in self.terms.items() if m.total_degree() == d}
+    def homogeneous_part(self, d: int) -> "Poly":
+        terms = {m: c for m, c in self.terms.items() if m.total_degree() == d}
         return Poly(self.n, terms)
 
-    def homogeneous_parts(self, weighted: bool = False) -> Iterator:
-        """Yield (degree, part) pairs in increasing degree."""
-        degrees = sorted(
-            {m.weighted_degree() if weighted else m.total_degree() for m in self.terms}
-        )
-        for d in degrees:
-            yield d, self.homogeneous_part(d, weighted)
+    def homogeneous_parts(self) -> Iterator:
+        """Yield (degree, part) pairs in increasing total degree."""
+        for d in sorted({m.total_degree() for m in self.terms}):
+            yield d, self.homogeneous_part(d)
 
-    def truncate(self, N: int, weighted: bool = False) -> "Poly":
-        """Drop all terms of (weighted) degree greater than N."""
-        if weighted:
-            terms = {m: c for m, c in self.terms.items() if m.weighted_degree() <= N}
-        else:
-            terms = {m: c for m, c in self.terms.items() if m.total_degree() <= N}
+    def truncate(self, N: int) -> "Poly":
+        """Drop all terms of total degree greater than N."""
+        terms = {m: c for m, c in self.terms.items() if m.total_degree() <= N}
         return Poly(self.n, terms)
 
     def substitute_w(self, q: "Poly") -> "Poly":

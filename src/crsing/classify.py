@@ -317,7 +317,8 @@ def check_first_integral(m: Manifold, g: Poly, N: int = 8) -> FirstIntegralRepor
 
 def flatten_from_first_integral(m: Manifold, g: Poly, N: int = 8) -> FormalExtension:
     """Extend a verified first integral to F(z, w) with g = F(z, rho) up to
-    degree N.  Requires stacked rank at least two.  Failures of the CR
+    degree N.  Requires stacked rank at least two, which check_first_integral
+    enforces with RankTooLow before anything is extended.  Failures of the CR
     condition surface as NotCR with the offending degree; the other two
     preconditions raise FirstIntegralError."""
     report = check_first_integral(m, g, N)
@@ -331,4 +332,4 @@ def flatten_from_first_integral(m: Manifold, g: Poly, N: int = 8) -> FormalExten
         raise FirstIntegralError(
             "the quadratic part of g is not a nonzero real multiple of Q"
         )
-    return formal_extend(m, g, N, require_rank=True)
+    return formal_extend(m, g, N)

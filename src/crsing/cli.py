@@ -47,7 +47,7 @@ from .extend import (
     extend_polynomial,
 )
 from .formal import formal_extend
-from .manifold import Manifold, is_cr, rank_condition
+from .manifold import Manifold, dot_zbar, is_cr, rank_condition
 from .odecrit import ODEParams, brute_force_ode, decide
 from .polyio import format_coeff, format_poly, load_manifold, parse_coeff, parse_poly
 from .verify import SUITES, run_suite
@@ -81,8 +81,8 @@ def _load_manifold(args) -> Manifold:
     return load_manifold(text)
 
 
-def _parse_f(args, m: Manifold, attr: str = "f") -> Poly:
-    return parse_poly(getattr(args, attr), m.n)
+def _parse_f(args, m: Manifold) -> Poly:
+    return parse_poly(args.f, m.n)
 
 
 def _emit(args, command: str, ok: bool, result, certificate, lines: List[str]):
@@ -219,7 +219,7 @@ def cmd_formal_extend(args) -> int:
     f = _parse_f(args, m)
     try:
         ext = formal_extend(m, f, args.order)
-    except (NotCR, NoExtension, DegenerateQuadric, RankTooLow) as e:
+    except (NotCR, NoExtension, DegenerateQuadric) as e:
         result = {"reason": str(e), "degree": getattr(e, "degree", None)}
         _emit(args, "formal-extend", False, result, None, ["failed: %s" % e])
         return EXIT_NEGATIVE
@@ -260,11 +260,7 @@ def cmd_counterexample(args) -> int:
             ["no linear counterexample: extension holds"],
         )
         return EXIT_NEGATIVE
-    f = Poly.zero(m.n)
-    for i, c in enumerate(v):
-        if c:
-            f = f + c * Poly.variable("zb%d" % (i + 1), m.n)
-    fstr = format_poly(f)
+    fstr = format_poly(dot_zbar(v))
     result = {"vector": [format_coeff(c) for c in v], "cr_function": fstr}
     lines = ["counterexample: f = %s is CR but has no extension" % fstr]
     _emit(args, "counterexample", True, result, None, lines)
@@ -313,7 +309,7 @@ def cmd_flatten_check(args) -> int:
         return EXIT_NEGATIVE
     try:
         ext = flatten_from_first_integral(m, g, args.order)
-    except (FirstIntegralError, NotCR, NoExtension, RankTooLow) as e:
+    except (FirstIntegralError, NotCR, NoExtension) as e:
         result["reason"] = str(e)
         _emit(args, "flatten-check", False, result, None, lines + ["failed: %s" % e])
         return EXIT_NEGATIVE
@@ -413,13 +409,30 @@ def cmd_verify(args) -> int:
 # -- parser -----------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Reads a token such as -3i, -1/2 or -z1 as a value, as in --p=-3i;
+    plain argparse lets only negative numbers through.  Tokens starting
+    with "--", and -h, stay options."""
+
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string.startswith("-")
+            and not arg_string.startswith("--")
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crsing",
         description="Decide and construct holomorphic extensions of CR "
         "functions on quadratic CR singular models w = Q(z, zbar) + E.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     def add(name, func, help_text, manifold=True):
         p = sub.add_parser(name, help=help_text)

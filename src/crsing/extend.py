@@ -45,6 +45,7 @@ from .manifold import (
     cr_image,
     cr_linear_space,
     cr_pairs,
+    dot_zbar,
     is_cr,
     quadric_model,
     rank_condition,
@@ -67,19 +68,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def homogeneous_monomial_key(mono: Monomial):
-    return (sum(mono.z), mono.z, mono.zb)
-
-
 def homogeneous_monomials(n: int, d: int) -> List[Monomial]:
-    """All w-free monomials of total degree d, in column order."""
-    out = []
-    for zdeg in range(d + 1):
-        for a in _compositions(zdeg, n):
-            for b in _compositions(d - zdeg, n):
-                out.append(Monomial(a, b, 0))
-    out.sort(key=homogeneous_monomial_key)
-    return out
+    """All w-free monomials of total degree d, in column order: the loops
+    already run through z-degree, then z, then zbar exponents ascending."""
+    return [
+        Monomial(a, b, 0)
+        for zdeg in range(d + 1)
+        for a in _compositions(zdeg, n)
+        for b in _compositions(d - zdeg, n)
+    ]
 
 
 @dataclass
@@ -313,15 +310,7 @@ def counterexample_linear(q: Quadric) -> Optional[List[GaussRational]]:
     if not basis:
         raise RuntimeError("rank <= 1 quadric with trivial CR linear space")
     v = basis[0]
-    f = Poly(
-        q.n,
-        {
-            Monomial.of_var("zb", j + 1, q.n): c
-            for j, c in enumerate(v)
-            if c
-        },
-    )
-    chk = is_cr(quadric_model(q), f)
+    chk = is_cr(quadric_model(q), dot_zbar(v))
     if not chk.holds:
         raise RuntimeError("certification failed: v . zbar is not CR")
     return v

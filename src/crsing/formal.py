@@ -17,15 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Poly
-from .errors import (
-    DegenerateQuadric,
-    NotCR,
-    RankTooLow,
-    RequiresNGe2,
-    WVariablePresent,
-)
+from .errors import DegenerateQuadric, NotCR, RequiresNGe2, WVariablePresent
 from .extend import extend_homogeneous
-from .manifold import Manifold, is_cr_through, rank_condition
+from .manifold import Manifold, is_cr_through
 
 
 @dataclass
@@ -44,19 +38,18 @@ class FormalExtension:
         return self.residual_order is None or self.residual_order > self.order
 
 
-def formal_extend(
-    m: Manifold, f: Poly, N: int = 8, require_rank: bool = False
-) -> FormalExtension:
+def formal_extend(m: Manifold, f: Poly, N: int = 8) -> FormalExtension:
     """Extend f through total degree N on the manifold w = Q + E.
 
     Quadrics without antiholomorphic part are rejected outright, and so
     are inputs that fail the CR equations on the manifold through degree
     N, tagged with the smallest degree whose jet already fails; terms of
-    L f above degree N lie beyond the truncation and do not count.  With
-    require_rank set, stacked rank below two is rejected as well; without
-    it the construction is attempted and fails with NoExtension at the
-    first homogeneous part that does not match, which for restrictions of
-    holomorphic polynomials never happens.
+    L f above degree N lie beyond the truncation and do not count.  The
+    stacked rank is not checked: below two the construction is attempted
+    and fails with NoExtension at the first homogeneous part that does not
+    match, which for restrictions of holomorphic polynomials never happens.
+    Callers that need rank two, such as flatten_from_first_integral, check
+    it first.
 
     Each step is one extend_homogeneous call on the lowest part of the
     remainder, returned only with a zero exact residual on the quadric.
@@ -69,8 +62,6 @@ def formal_extend(
         raise RequiresNGe2("formal extension needs n >= 2")
     if not m.quadric.has_antiholomorphic_part:
         raise DegenerateQuadric("Q has no zbar part; CR gives no equations here")
-    if require_rank and rank_condition(m.quadric) < 2:
-        raise RankTooLow("stacked matrix [A*; B] has rank below two")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     if not f.is_w_free:

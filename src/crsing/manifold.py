@@ -368,6 +368,12 @@ def cr_linear_space(q: Quadric) -> List[List[GaussRational]]:
     return linalg.nullspace_sparse(rows, n)
 
 
+def dot_zbar(v: List[GaussRational]) -> Poly:
+    """The linear polynomial v . zbar = sum_j v_j zb_j."""
+    n = len(v)
+    return Poly(n, {Monomial.of_var("zb", j + 1, n): c for j, c in enumerate(v)})
+
+
 def transform(obj: Union[Quadric, Manifold], T) -> Union[Quadric, Manifold]:
     """Apply the invertible linear change of coordinates z -> T z.
 

@@ -7,8 +7,10 @@ by the right-hand side R(eta):
     case b:  (p + q eta) zeta = (r + s eta + t eta^2) zeta',  t != 0, distinct roots
     case c:  (p + q eta) zeta = t (eta - xi)^2 zeta',         t != 0
 
-The decision procedures classify the solution space exactly over the
-Gaussian rationals:
+decide(case, params) is the one entry point for all three.  R is read
+from one coefficient triple, rhs_coeffs(case, params) = (r0, r1, r2); for
+case c that is (t xi^2, -2 t xi, t).  decide classifies the solution space
+exactly over the Gaussian rationals:
 
     a: a nonconstant polynomial solution exists iff q = 0 and p/s is a
        positive integer; witness (s eta + r)^(p/s).  Nonzero constants solve
@@ -31,7 +33,8 @@ witness is a power of R/t itself.
 Witnesses are returned as Poly objects of dimension 1 with z1 playing the
 role of eta, and are verified by exact substitution before being returned.
 A brute-force decision procedure that solves for the coefficients of zeta
-up to a degree bound directly serves as an independent cross-check.
+up to a degree bound directly serves as an independent cross-check: it
+reads the same triple but none of the criteria above.
 """
 
 from __future__ import annotations
@@ -80,37 +83,31 @@ class ODEParams:
     xi: Optional[GaussRational] = None
 
 
-def eta() -> Poly:
-    return Poly.variable("z1", 1)
+def _eta_poly(coeffs) -> Poly:
+    """sum coeffs[i] eta^i, with z1 playing the role of eta."""
+    return Poly(1, {Monomial((i,), (0,), 0): c for i, c in enumerate(coeffs)})
 
 
-def _const(c) -> Poly:
-    return Poly.constant(as_gauss(c), 1)
-
-
-def rhs_poly(case: str, params: ODEParams) -> Poly:
-    x = eta()
+def rhs_coeffs(case: str, params: ODEParams):
+    """(r0, r1, r2) with R(eta) = r0 + r1 eta + r2 eta^2 for the case."""
     if case == "a":
-        return _const(params.r) + _const(params.s) * x
+        return as_gauss(params.r), as_gauss(params.s), ZERO
     if case == "b":
-        return _const(params.r) + _const(params.s) * x + _const(params.t) * x * x
+        return as_gauss(params.r), as_gauss(params.s), as_gauss(params.t)
     if case == "c":
-        shifted = x - _const(params.xi)
-        return _const(params.t) * shifted * shifted
+        t, xi = as_gauss(params.t), as_gauss(params.xi)
+        return t * xi * xi, -2 * t * xi, t
     raise ValueError("case must be one of %r" % (CASES,))
+
+
+def _residual(p, q, rhs, zeta: Poly) -> Poly:
+    return _eta_poly((p, q)) * zeta - _eta_poly(rhs) * zeta.differentiate("z1")
 
 
 def ode_residual(case: str, params: ODEParams, zeta: Poly) -> Poly:
     """(p + q eta) zeta - R(eta) zeta', exactly."""
-    x = eta()
-    lhs = (_const(params.p) + _const(params.q) * x) * zeta
-    return lhs - rhs_poly(case, params) * zeta.differentiate("z1")
-
-
-def _checked(case: str, params: ODEParams, witness: Poly) -> ODEDecision:
-    if not ode_residual(case, params, witness).is_zero:
-        raise RuntimeError("internal witness verification failed")
-    return ODEDecision(Verdict.NONCONSTANT_POLY, witness)
+    p, q = as_gauss(params.p), as_gauss(params.q)
+    return _residual(p, q, rhs_coeffs(case, params), zeta)
 
 
 def _as_nonneg_int(x: GaussRational) -> Optional[int]:
@@ -120,74 +117,62 @@ def _as_nonneg_int(x: GaussRational) -> Optional[int]:
     return k
 
 
-def decide_case_a(p, q, r, s) -> ODEDecision:
-    p, q, r, s = as_gauss(p), as_gauss(q), as_gauss(r), as_gauss(s)
-    if not s:
-        raise ValueError("case a requires s != 0")
-    if not p and not q:
-        return ODEDecision(Verdict.CONSTANT_ONLY)
-    if not q:
-        m = _as_nonneg_int(p / s)
-        if m is not None and m >= 1:
-            witness = (_const(s) * eta() + _const(r)) ** m
-            return _checked("a", ODEParams(p, q, r, s), witness)
-    return ODEDecision(Verdict.NO_NONZERO)
-
-
-def decide_case_b(p, q, r, s, t) -> ODEDecision:
-    p, q, r, s, t = (as_gauss(v) for v in (p, q, r, s, t))
-    if not t:
-        raise ValueError("case b requires t != 0")
-    disc = s * s - 4 * r * t
-    if not disc:
-        raise ValueError("case b requires distinct roots; use case c")
-    if not p and not q:
-        return ODEDecision(Verdict.CONSTANT_ONLY)
-    params = ODEParams(p, q, r, s, t)
+def _witness(case: str, p, q, rhs, disc) -> Optional[Poly]:
+    """The witness named in the module docstring for the case, or None when
+    no nonconstant polynomial solves the equation."""
+    r0, r1, r2 = rhs
+    if case == "a":
+        m = None if q else _as_nonneg_int(p / r1)
+        return _eta_poly(rhs) ** m if m else None
+    if case == "c":
+        xi = -r1 / (2 * r2)
+        m = _as_nonneg_int(q / r2)
+        return _eta_poly((-xi, ONE)) ** m if m and not (q * xi + p) else None
     root = gauss_sqrt(disc)
     if root is not None:
-        xi1 = (-s + root) / (2 * t)
-        xi2 = (-s - root) / (2 * t)
-        e1 = (q * xi1 + p) / (t * (xi1 - xi2))
-        e2 = (q * xi2 + p) / (t * (xi2 - xi1))
-        m1, m2 = _as_nonneg_int(e1), _as_nonneg_int(e2)
-        if m1 is not None and m2 is not None and m1 + m2 >= 1:
-            x = eta()
-            witness = (x - _const(xi1)) ** m1 * (x - _const(xi2)) ** m2
-            return _checked("b", params, witness)
-        return ODEDecision(Verdict.NO_NONZERO)
+        xi1 = (-r1 + root) / (2 * r2)
+        xi2 = (-r1 - root) / (2 * r2)
+        m1 = _as_nonneg_int((q * xi1 + p) / (r2 * (xi1 - xi2)))
+        m2 = _as_nonneg_int((q * xi2 + p) / (r2 * (xi2 - xi1)))
+        if m1 is None or m2 is None or m1 + m2 < 1:
+            return None
+        return _eta_poly((-xi1, ONE)) ** m1 * _eta_poly((-xi2, ONE)) ** m2
     # irrational roots: integer exponents must coincide, e1 = e2 = (q/t)/2
-    e_sum = q / t
-    e_prod = -(q * q * r - p * q * s + p * p * t) / (t * disc)
-    half = e_sum / 2
+    half = q / r2 / 2
+    e_prod = -(q * q * r0 - p * q * r1 + p * p * r2) / (r2 * disc)
     m = _as_nonneg_int(half)
-    if m is not None and m >= 1 and half * half == e_prod:
-        witness = (rhs_poly("b", params) * (ONE / t)) ** m
-        return _checked("b", params, witness)
-    return ODEDecision(Verdict.NO_NONZERO)
-
-
-def decide_case_c(p, q, t, xi) -> ODEDecision:
-    p, q, t, xi = as_gauss(p), as_gauss(q), as_gauss(t), as_gauss(xi)
-    if not t:
-        raise ValueError("case c requires t != 0")
-    if not p and not q:
-        return ODEDecision(Verdict.CONSTANT_ONLY)
-    m = _as_nonneg_int(q / t)
-    if m is not None and m >= 1 and not (q * xi + p):
-        witness = (eta() - _const(xi)) ** m
-        return _checked("c", ODEParams(p, q, t=t, xi=xi), witness)
-    return ODEDecision(Verdict.NO_NONZERO)
+    if not m or half * half != e_prod:
+        return None
+    return _eta_poly((r0 / r2, r1 / r2, ONE)) ** m
 
 
 def decide(case: str, params: ODEParams) -> ODEDecision:
-    if case == "a":
-        return decide_case_a(params.p, params.q, params.r, params.s)
-    if case == "b":
-        return decide_case_b(params.p, params.q, params.r, params.s, params.t)
-    if case == "c":
-        return decide_case_c(params.p, params.q, params.t, params.xi)
-    raise ValueError("case must be one of %r" % (CASES,))
+    """Classify the polynomial solutions of the case's equation exactly.
+
+    Rejects, in this order and with ValueError, an unknown case, s = 0 in
+    case a, t = 0 in cases b and c, and a double root of R in case b.  A
+    witness is returned only after ode_residual has been checked to vanish
+    on it; a nonzero residual is an internal fault and raises
+    RuntimeError."""
+    if case not in CASES:
+        raise ValueError("case must be one of %r" % (CASES,))
+    p, q = as_gauss(params.p), as_gauss(params.q)
+    rhs = r0, r1, r2 = rhs_coeffs(case, params)
+    if case == "a" and not r1:
+        raise ValueError("case a requires s != 0")
+    if case != "a" and not r2:
+        raise ValueError("case %s requires t != 0" % case)
+    disc = r1 * r1 - 4 * r0 * r2
+    if case == "b" and not disc:
+        raise ValueError("case b requires distinct roots; use case c")
+    if not p and not q:
+        return ODEDecision(Verdict.CONSTANT_ONLY)
+    witness = _witness(case, p, q, rhs, disc)
+    if witness is None:
+        return ODEDecision(Verdict.NO_NONZERO)
+    if not _residual(p, q, rhs, witness).is_zero:
+        raise RuntimeError("internal witness verification failed")
+    return ODEDecision(Verdict.NONCONSTANT_POLY, witness)
 
 
 def brute_force_ode(case: str, params: ODEParams, D: int) -> ODEDecision:
@@ -197,11 +182,11 @@ def brute_force_ode(case: str, params: ODEParams, D: int) -> ODEDecision:
     -m r0 eta^(m-1) + (p - m r1) eta^m + (q - m r2) eta^(m+1), so the linear
     system for zeta = sum c_m eta^m, m <= D, is tridiagonal and is written
     down entry by entry; its kernel is then classified.  Used as an oracle
-    against the closed-form criteria, so it shares nothing with decide."""
+    against the closed-form criteria, so it shares no criterion with
+    decide."""
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    R = rhs_poly(case, params)
-    r0, r1, r2 = (R.coefficient(Monomial((i,), (0,), 0)) for i in range(3))
+    r0, r1, r2 = rhs_coeffs(case, params)
     p, q = as_gauss(params.p), as_gauss(params.q)
     rows: List[dict] = [dict() for _ in range(D + 2)]
     for m in range(D + 1):
@@ -220,6 +205,5 @@ def brute_force_ode(case: str, params: ODEParams, D: int) -> ODEDecision:
             best_deg = deg
             best = vec
     if best_deg >= 1:
-        witness = Poly(1, {Monomial((i,), (0,), 0): c for i, c in enumerate(best)})
-        return ODEDecision(Verdict.NONCONSTANT_POLY, witness)
+        return ODEDecision(Verdict.NONCONSTANT_POLY, _eta_poly(best))
     return ODEDecision(Verdict.CONSTANT_ONLY)

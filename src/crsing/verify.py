@@ -43,6 +43,7 @@ from .manifold import (
     Manifold,
     Quadric,
     cr_linear_space,
+    dot_zbar,
     is_cr,
     quadric_model,
     rank_condition,
@@ -165,28 +166,21 @@ def _triangular_family_quadric(rng) -> Quadric:
 # -- shared helpers ---------------------------------------------------
 
 
-def _extend_kernel_batch(q: Quadric, d: int):
-    """Extend every degree-d kernel element through one factorization.
-
-    Returns one matching solution per kernel vector of the degree-d CR
-    matrix, None where that element does not extend.  The kernel vectors
-    and the matching rows share the order homogeneous_monomials(n, d)."""
-    kernel = cr_equation_matrix(q, d).kernel()
-    if not kernel:
-        return []
-    _, _, fact = matching_factorization(q, d)
-    return [fact.solve(v) for v in kernel]
-
-
 def _extension_sweep(q: Quadric, dmax: int):
-    """rank, whether all kernel elements extend through dmax, and whether
-    the linear CR space is trivial."""
+    """rank, whether every CR polynomial of degree 1..dmax extends, and
+    whether the linear CR space is trivial.
+
+    Each basis element of the degree-d CR space goes through
+    extend_homogeneous, which returns an extension only after checking
+    f - F(z, Q) = 0 exactly; the sweep stops at the first NoExtension."""
     r = rank_condition(q)
     all_extend = True
-    for d in range(1, dmax + 1):
-        if any(s is None for s in _extend_kernel_batch(q, d)):
-            all_extend = False
-            break
+    try:
+        for d in range(1, dmax + 1):
+            for f in cr_equation_matrix(q, d).kernel_polys():
+                extend_homogeneous(q, f)
+    except NoExtension:
+        all_extend = False
     lin_trivial = not cr_linear_space(q)
     return r, all_extend, lin_trivial
 
@@ -266,16 +260,8 @@ def suite_equivalence(samples: int = 200, dmax: int = 4, seed: int = 30103) -> S
             if v is None or not any(v):
                 witness_ok = False
             else:
-                f = Poly(
-                    n,
-                    {
-                        Monomial.of_var("zb", j + 1, n): c
-                        for j, c in enumerate(v)
-                        if c
-                    },
-                )
                 try:
-                    extend_homogeneous(q, f)
+                    extend_homogeneous(q, dot_zbar(v))
                     witness_ok = False
                 except NoExtension:
                     pass

@@ -147,8 +147,6 @@ class TestPoly:
         p = z1**3 + w
         assert p.total_degree() == 3
         assert p.order() == 1
-        assert p.weighted_degree() == 3
-        assert (w * w).weighted_degree() == 4
         assert Poly.zero(2).order() is None
         assert Poly.zero(2).total_degree() is None
 
@@ -184,7 +182,6 @@ class TestPoly:
         w = Poly.variable("w", 2)
         p = z1**3 + z1 * w + 2
         assert p.homogeneous_part(2) == z1 * w
-        assert p.homogeneous_part(3, weighted=True) == z1**3 + z1 * w
         assert sum((part for _, part in p.homogeneous_parts()), Poly.zero(2)) == p
 
     def test_expansion_degree_filter(self):
@@ -201,7 +198,6 @@ class TestPoly:
         w = Poly.variable("w", 2)
         p = z1**3 + z1 * w + 2
         assert p.truncate(2) == z1 * w + 2
-        assert p.truncate(2, weighted=True) == Poly.constant(2, 2)
         assert p.truncate(0) == Poly.constant(2, 2)
 
     def test_substitute_w(self):

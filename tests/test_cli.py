@@ -792,3 +792,246 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err.startswith("error: %s must be at least" % flag)
+
+
+RANK0 = '{"n": 2}'
+RANK0_E = '{"n": 2, "E": "zb1^3"}'
+RANK_TOO_LOW = "first integral checks assume stacked rank at least two"
+
+
+class TestGoldenDecisions:
+    """Exact CLI bytes of ODE refusals and witnesses, brute-force bounds, and
+    formal-extend and flatten-check below stacked rank two, plain and with
+    --json."""
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            (["--case", "a", "--p", "1", "--s", "0"], "case a requires s != 0"),
+            (
+                ["--case", "b", "--p", "1", "--q", "1", "--r", "1", "--s", "1"],
+                "case b requires t != 0",
+            ),
+            (
+                ["--case", "b", "--p", "1", "--q", "1", "--r", "1", "--s", "-2", "--t", "1"],
+                "case b requires distinct roots; use case c",
+            ),
+            (
+                ["--case", "c", "--p", "1", "--q", "1", "--t", "1"],
+                "case c needs --xi (the double root)",
+            ),
+        ],
+    )
+    def test_ode_input_errors(self, capsys, coeffs, message):
+        for argv in (["ode"] + coeffs, ["ode", "--json"] + coeffs):
+            assert run(capsys, argv) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize(
+        "coeffs, witness, brute",
+        [
+            # R/t = eta^2 - 3 has irrational roots; zeta = (R/t)^2
+            (["--case", "b", "--q", "8", "--r", "-6", "--t", "2"], "9 - 6*eta^2 + eta^4", None),
+            (
+                ["--case", "b", "--q", "8", "--r", "-6", "--t", "2", "--brute-bound", "0"],
+                "9 - 6*eta^2 + eta^4",
+                (0, "no_nonzero", None),
+            ),
+            (
+                ["--case", "b", "--q", "8", "--r", "-6", "--t", "2", "--brute-bound", "3"],
+                "9 - 6*eta^2 + eta^4",
+                (3, "no_nonzero", None),
+            ),
+            (
+                ["--case", "a", "--p", "2", "--r", "1", "--s", "1", "--brute-bound", "0"],
+                "1 + 2*eta + eta^2",
+                (0, "no_nonzero", None),
+            ),
+            (
+                ["--case", "a", "--p", "2", "--r", "1", "--s", "1", "--brute-bound", "3"],
+                "1 + 2*eta + eta^2",
+                (3, "nonconstant_poly", "1 + 2*eta + eta^2"),
+            ),
+            (
+                ["--case", "c", "--q", "1", "--t", "1", "--xi", "0", "--brute-bound", "3"],
+                "eta",
+                (3, "nonconstant_poly", "eta"),
+            ),
+        ],
+    )
+    def test_ode_witnesses_and_brute_bounds(self, capsys, coeffs, witness, brute):
+        text = "verdict: nonconstant_poly\nwitness: zeta = %s\n" % witness
+        result = {"case": coeffs[1], "verdict": "nonconstant_poly", "witness": witness}
+        if brute is not None:
+            bound, verdict, brute_witness = brute
+            agrees = verdict == "nonconstant_poly"
+            text += "brute force (degree <= %d): %s%s\n" % (
+                bound,
+                verdict,
+                "" if agrees else "  DISAGREES",
+            )
+            result["brute_force"] = {
+                "agrees": agrees,
+                "bound": bound,
+                "verdict": verdict,
+                "witness": brute_witness,
+            }
+        assert run(capsys, ["ode"] + coeffs) == (0, text, "")
+        assert run(capsys, ["ode", "--json"] + coeffs) == (
+            0,
+            _json_bytes(
+                {"certificate": None, "command": "ode", "ok": True, "result": result}
+            ),
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "spec, code, text, result, certificate",
+        [
+            (
+                RANK0,
+                1,
+                "failed: Q has no zbar part; CR gives no equations here\n",
+                {"degree": None, "reason": "Q has no zbar part; CR gives no equations here"},
+                None,
+            ),
+            (
+                RANK0_E,
+                1,
+                "failed: Q has no zbar part; CR gives no equations here\n",
+                {"degree": None, "reason": "Q has no zbar part; CR gives no equations here"},
+                None,
+            ),
+            (
+                RANK1,
+                0,
+                "F = w + z1^2\nresidual order: none (exact)\nunique: yes\n",
+                {
+                    "F": "w + z1^2",
+                    "certified": True,
+                    "order": 4,
+                    "residual_order": None,
+                    "unique": True,
+                },
+                {"residual": "0"},
+            ),
+            (
+                CUBIC,
+                1,
+                "failed: f fails the CR equations on the manifold at degree 2\n",
+                {
+                    "degree": 2,
+                    "reason": "f fails the CR equations on the manifold at degree 2",
+                },
+                None,
+            ),
+        ],
+    )
+    def test_formal_extend_below_rank_two(
+        self, capsys, manifold_file, spec, code, text, result, certificate
+    ):
+        args = ["--manifold", manifold_file(spec), "--f", "zb1*z2 + z1^2", "--order", "4"]
+        assert run(capsys, ["formal-extend"] + args) == (code, text, "")
+        assert run(capsys, ["formal-extend", "--json"] + args) == (
+            code,
+            _json_bytes(
+                {
+                    "certificate": certificate,
+                    "command": "formal-extend",
+                    "ok": code == 0,
+                    "result": result,
+                }
+            ),
+            "",
+        )
+
+    @pytest.mark.parametrize("spec", [RANK0, RANK0_E, RANK1, CUBIC])
+    def test_flatten_check_below_rank_two(self, capsys, manifold_file, spec):
+        args = ["--manifold", manifold_file(spec), "--g", "z1*zb1 + z2*zb2", "--order", "4"]
+        assert run(capsys, ["flatten-check"] + args) == (
+            1,
+            "failed: %s\n" % RANK_TOO_LOW,
+            "",
+        )
+        assert run(capsys, ["flatten-check", "--json"] + args) == (
+            1,
+            _json_bytes(
+                {
+                    "certificate": None,
+                    "command": "flatten-check",
+                    "ok": False,
+                    "result": {"reason": RANK_TOO_LOW},
+                }
+            ),
+            "",
+        )
+
+
+class TestDashValues:
+    """A value that starts with '-' may follow its option after a space, with
+    the same bytes and exit code as --opt=value."""
+
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [
+            (
+                ["ode", "--case", "c", "--p", "-3i", "--q", "3", "--t", "1", "--xi", "i"],
+                0,
+                "verdict: nonconstant_poly\nwitness: zeta = i - 3*eta - 3i*eta^2 + eta^3\n",
+            ),
+            (["ode", "--case", "a", "--p", "-1/2", "--s", "1"], 0, "verdict: no_nonzero\n"),
+            (
+                ["ode", "--case", "c", "--p", "3", "--q", "3", "--t", "-1/2", "--xi", "-i"],
+                0,
+                "verdict: no_nonzero\n",
+            ),
+            (
+                ["ode", "--case", "b", "--p", "-i", "--q", "-2", "--r", "-1/2", "--s", "-i", "--t", "1"],
+                0,
+                "verdict: no_nonzero\n",
+            ),
+            (
+                ["extend", "--manifold", RANK1, "--f", "-z1"],
+                0,
+                "F = -z1\nunique: yes\n",
+            ),
+            (
+                ["extend", "--manifold", RANK1, "--f", "-zb1"],
+                1,
+                "no extension: no holomorphic polynomial matches f at degree 1\n"
+                "certificate: v = (1, 0)\n",
+            ),
+            (["check-cr", "--manifold", RANK1, "--f", "-zb1"], 0, "CR: yes\n"),
+            (
+                ["flatten-check", "--manifold", FLAT, "--g", "-z1*zb1"],
+                1,
+                "real-valued: yes\nCR to order 8: no\nquadratic part is alpha*Q: no\n"
+                "not a first integral\n",
+            ),
+        ],
+    )
+    def test_space_form_matches_equals_form(
+        self, capsys, manifold_file, argv, code, text
+    ):
+        argv = [manifold_file(a) if a.startswith("{") else a for a in argv]
+        joined = []
+        for a in argv:
+            if a.startswith("-") and not a.startswith("--"):
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        assert run(capsys, argv) == (code, text, "")
+        assert run(capsys, joined) == (code, text, "")
+        plain_json = run(capsys, argv[:1] + ["--json"] + argv[1:])
+        assert plain_json[0] == code
+        assert plain_json == run(capsys, joined[:1] + ["--json"] + joined[1:])
+
+    def test_option_is_not_a_value(self, capsys, manifold_file):
+        path = manifold_file(RANK1)
+        for argv in (
+            ["extend", "--manifold", path, "--f", "--json"],
+            ["extend", "--json", "--manifold", path, "--f", "--json"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "argument --f: expected one argument" in capsys.readouterr().err

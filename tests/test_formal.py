@@ -15,7 +15,6 @@ from crsing.errors import (
     DegenerateQuadric,
     NoExtension,
     NotCR,
-    RankTooLow,
     WVariablePresent,
 )
 
@@ -54,7 +53,11 @@ class TestFormalExtend:
         f = F.substitute_w(m.rho())
         small = formal_extend(m, f, 6)
         large = formal_extend(m, f, 10)
-        assert small.F.truncate(6, weighted=True) == large.F.truncate(6, weighted=True)
+        # compare the terms of weighted degree <= 6 (w counts twice)
+        def head(F):
+            return Poly(2, {m: c for m, c in F.terms.items() if m.weighted_degree() <= 6})
+
+        assert head(small.F) == head(large.F)
 
     def test_constant_part_passes_through(self):
         m = diag_manifold()
@@ -98,10 +101,8 @@ class TestFormalExtend:
             formal_extend(m, parse_poly("z1", 2), 8)
 
     def test_rank_gate_optional(self):
+        # stacked rank one: restrictions still extend, with no rank gate
         m = cubic_manifold()
-        with pytest.raises(RankTooLow):
-            formal_extend(m, m.rho(), 8, require_rank=True)
-        # without the gate the same input succeeds
         assert formal_extend(m, m.rho(), 8).certified
 
     def test_rejects_w_in_input(self):
@@ -118,8 +119,4 @@ class TestUniqueness:
     def test_rank_two_unique(self):
         m = diag_manifold()
         f = parse_poly("z1*zb1 + z2*zb2", 2)
-        assert formal_extend(m, f, 8, require_rank=True).unique
-
-    def test_rank_one_rejected(self):
-        with pytest.raises(RankTooLow):
-            formal_extend(cubic_manifold(), parse_poly("z1", 2), 8, require_rank=True)
+        assert formal_extend(m, f, 8).unique
