@@ -92,10 +92,10 @@ class CRMatrix:
     row_labels: List[Tuple[int, int, Monomial]]
 
     def rank(self) -> int:
-        return linalg.rank_sparse(self.rows, len(self.columns))
+        return len(self.columns) - len(self.kernel())
 
     def kernel(self) -> List[List[GaussRational]]:
-        return linalg.nullspace_sparse(self.rows, len(self.columns))
+        return linalg.certified_nullspace(self.rows, len(self.columns))
 
     def kernel_polys(self) -> List[Poly]:
         """The kernel as polynomials: a basis of the degree-d CR space."""

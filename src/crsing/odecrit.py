@@ -150,18 +150,20 @@ def decide(case: str, params: ODEParams) -> ODEDecision:
     """Classify the polynomial solutions of the case's equation exactly.
 
     Rejects, in this order and with ValueError, an unknown case, s = 0 in
-    case a, t = 0 in cases b and c, and a double root of R in case b.  A
-    witness is returned only after ode_residual has been checked to vanish
-    on it; a nonzero residual is an internal fault and raises
-    RuntimeError."""
+    case a, t = 0 in cases b and c, a missing xi in case c, and a double
+    root of R in case b.  A witness is returned only after ode_residual has
+    been checked to vanish on it; a nonzero residual is an internal fault
+    and raises RuntimeError."""
     if case not in CASES:
         raise ValueError("case must be one of %r" % (CASES,))
     p, q = as_gauss(params.p), as_gauss(params.q)
-    rhs = r0, r1, r2 = rhs_coeffs(case, params)
-    if case == "a" and not r1:
+    if case == "a" and not as_gauss(params.s):
         raise ValueError("case a requires s != 0")
-    if case != "a" and not r2:
+    if case != "a" and not as_gauss(params.t):
         raise ValueError("case %s requires t != 0" % case)
+    if case == "c" and params.xi is None:
+        raise ValueError("case c needs xi (the double root)")
+    rhs = r0, r1, r2 = rhs_coeffs(case, params)
     disc = r1 * r1 - 4 * r0 * r2
     if case == "b" and not disc:
         raise ValueError("case b requires distinct roots; use case c")

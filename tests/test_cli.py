@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so the tests can capture
 stdout and assert on exit codes directly.
 """
 
+import hashlib
 import io
 import json
 
@@ -400,6 +401,49 @@ class TestCrBasis:
         assert res["matrix_rank"] == mat.rank()
         assert res["matrix_shape"] == [len(mat.rows), len(mat.columns)]
         assert res["dimension"] == len(mat.columns) - mat.rank()
+
+
+# dense quadrics at the sizes (n, d) = (3, 6) and (4, 4); the exact Fraction
+# elimination takes 10-30 s on each
+DENSE_N3 = (
+    '{"n": 3, "A": [["1", "i", "2"], ["-1", "1/2", "1+i"], ["3", "-i", "2"]],'
+    ' "B": [["1", "2", "-i"], ["2", "i", "1"], ["-i", "1", "3"]],'
+    ' "C": [["2", "-1", "i"], ["-1", "1/3", "1"], ["i", "1", "-2"]]}'
+)
+DENSE_N4 = (
+    '{"n": 4, "A": [["1", "i", "2", "-1"], ["-1", "1/2", "1+i", "3"],'
+    ' ["3", "-i", "2", "1"], ["1", "2", "-2i", "1/2"]],'
+    ' "B": [["1", "2", "-i", "1"], ["2", "i", "1", "-1"], ["-i", "1", "3", "2"],'
+    ' ["1", "-1", "2", "i"]],'
+    ' "C": [["2", "-1", "i", "1"], ["-1", "1/3", "1", "2"], ["i", "1", "-2", "1"],'
+    ' ["1", "2", "1", "-i"]]}'
+)
+
+
+class TestGoldenLargeBases:
+    """sha256 of cr-basis --json stdout, recorded with the exact kernel."""
+
+    @pytest.mark.parametrize(
+        "spec, degree, digest",
+        [
+            (
+                DENSE_N3,
+                6,
+                "284ebb7899cd1a67dd9226024dd09049a45fe6fbbbba3551be218d8ecc8c4744",
+            ),
+            (
+                DENSE_N4,
+                4,
+                "32a5b61cf9af7bd04d52b0ba53ceb845281af09cd506f40b5aa2b58f2d6ca2b6",
+            ),
+        ],
+        ids=["n3-d6", "n4-d4"],
+    )
+    def test_dense_basis_bytes(self, capsys, manifold_file, spec, degree, digest):
+        argv = ["cr-basis", "--json", "--manifold", manifold_file(spec)]
+        code, out, err = run(capsys, argv + ["--degree", str(degree)])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # cr-basis --degree 2 --dump-matrix on N3B, recorded before the CR matrix

@@ -119,6 +119,13 @@ class TestCaseC:
         decision = decide("c", ODEParams(p=g(0), q=g(0), t=g(1), xi=g(1)))
         assert decision.verdict is Verdict.CONSTANT_ONLY
 
+    def test_requires_xi(self):
+        with pytest.raises(ValueError, match=r"^case c needs xi \(the double root\)$"):
+            decide("c", ODEParams(p=g(1), q=g(2), t=g(1)))
+        # the t != 0 check still comes first
+        with pytest.raises(ValueError, match="requires t != 0"):
+            decide("c", ODEParams(p=g(1), q=g(2)))
+
 
 class TestBruteForce:
     def test_agrees_on_known_instances(self):
@@ -233,9 +240,12 @@ def _decide_case_b(p, q, r, s, t):
 
 
 def _decide_case_c(p, q, t, xi):
-    p, q, t, xi = as_gauss(p), as_gauss(q), as_gauss(t), as_gauss(xi)
+    p, q, t = as_gauss(p), as_gauss(q), as_gauss(t)
     if not t:
         raise ValueError("case c requires t != 0")
+    if xi is None:
+        raise ValueError("case c needs xi (the double root)")
+    xi = as_gauss(xi)
     if not p and not q:
         return ODEDecision(Verdict.CONSTANT_ONLY)
     m = _as_nonneg_int(q / t)
